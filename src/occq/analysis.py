@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .critic import CriticParams, encode_anchor, encode_future
+from .critic import CriticParams, pair_logits
 from .data import OfflineDataset, sample_batch, state_action_frequencies
 from .envs import TabularMDP
 from .errors import InvalidSpec
 from .features import TabularFeaturizer
 from .oracle import RatioTable, exact_q, exact_ratio, spearman
-from .rff import q_weighted
+from .rff import q_value_direct, q_weighted
 
 
 def all_pair_feats(featurizer: TabularFeaturizer):
@@ -31,9 +31,8 @@ def learned_logit_table(critic: CriticParams, featurizer: TabularFeaturizer) -> 
     """(S, A, S) table of critic logits for every anchor/future combination,
     using the EMA target copy of the future encoder."""
     states, actions, anchor_feats = all_pair_feats(featurizer)
-    a_emb, _, _ = encode_anchor(critic, anchor_feats)
-    f_emb, _, _ = encode_future(critic, featurizer.state_feats(np.arange(featurizer.n_states)), target=True)
-    logits = (a_emb @ f_emb.T) / critic.temperature
+    futures = featurizer.state_feats(np.arange(featurizer.n_states))
+    logits, _, _ = pair_logits(critic, anchor_feats, futures, target=True)
     return logits.reshape(featurizer.n_states, featurizer.n_actions, featurizer.n_states)
 
 
@@ -116,10 +115,7 @@ def q_topology_report(
     anchor_feats = anchor_feats[keep]
     kept_states, kept_actions = states[keep], actions[keep]
 
-    a_emb, _, _ = encode_anchor(critic, anchor_feats)
-    f_emb, _, _ = encode_future(critic, featurizer.state_feats(pool_states), target=True)
-    logits = (a_emb @ f_emb.T) / critic.temperature
-    q_learned = q_weighted(np.exp(logits), pool_rewards, gamma)
+    q_learned = q_value_direct(critic, anchor_feats, featurizer.state_feats(pool_states), pool_rewards, gamma)
 
     table: RatioTable = exact_ratio(mdp, behavior_table, weights, horizon=horizon)
     ratio_cols = table.ratio[kept_states, kept_actions][:, pool_states]

@@ -99,4 +99,7 @@ def _read_str(view, pos):
     pos += 4
     if pos + n > len(view):
         raise FormatError("truncated checkpoint")
-    return bytes(view[pos : pos + n]).decode("utf-8"), pos + n
+    try:
+        return bytes(view[pos : pos + n]).decode("utf-8"), pos + n
+    except UnicodeDecodeError:
+        raise FormatError("checkpoint string is not valid UTF-8") from None

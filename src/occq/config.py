@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass
 
 from .errors import FormatError, InvalidSpec
@@ -77,6 +78,9 @@ class TrainConfig:
             raise InvalidSpec("EMA coefficients must lie in [0, 1]")
 
 
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -87,25 +91,29 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(text: str, target_type):
+def _parse_value(key: str, text: str):
+    if key not in _FIELD_TYPES:
+        raise InvalidSpec(f"unknown config key {key!r}")
+    target_type = _FIELD_TYPES[key]
     text = text.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         text = text[1:-1]
-    if target_type is bool:
-        low = text.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise InvalidSpec(f"not a boolean: {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
-    if target_type == tuple[int, ...]:
-        if not text:
-            return ()
-        return tuple(int(part) for part in text.split(","))
+    try:
+        if target_type is bool:
+            low = text.lower()
+            if low in ("true", "1", "yes"):
+                return True
+            if low in ("false", "0", "no"):
+                return False
+            raise ValueError
+        if target_type is int:
+            return int(text)
+        if target_type is float:
+            return float(text)
+        if target_type == tuple[int, ...]:
+            return tuple(int(part) for part in text.split(",")) if text else ()
+    except ValueError:
+        raise InvalidSpec(f"bad value for config key {key!r}: {text!r}") from None
     return text
 
 
@@ -114,22 +122,7 @@ def config_to_kv(config: TrainConfig) -> dict[str, str]:
 
 
 def config_from_kv(kv: dict[str, str]) -> TrainConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    types = {
-        "gamma": float, "horizon": int, "learning_rate": float, "lambda_partition": float,
-        "lambda_bc": float, "tau_nce": float, "tau_boltzmann": float, "entropy_coeff": float,
-        "n_action_samples": int, "ema_beta": float, "reward_feature_ema": float, "rff_dim": int,
-        "use_rff": bool, "l2_normalize": bool, "epochs": int, "steps_per_epoch": int, "seed": int,
-        "max_grad_norm": float, "hidden_sizes": tuple[int, ...], "latent_dim": int,
-        "densenet": bool, "layernorm": bool, "log_std_min": float, "log_std_max": float,
-        "policy_state_cap": int,
-    }
-    values = {}
-    for key, raw in kv.items():
-        if key not in fields:
-            raise InvalidSpec(f"unknown config key {key!r}")
-        values[key] = _parse_value(raw, types[key])
-    return TrainConfig(**values)
+    return TrainConfig(**{key: _parse_value(key, raw) for key, raw in kv.items()})
 
 
 def config_hash(config: TrainConfig) -> str:
@@ -151,12 +144,6 @@ def read_kv(path) -> dict[str, str]:
             key, value = line.split("=", 1)
             kv[key.strip()] = value.strip()
     return kv
-
-
-def write_kv(path, kv: dict[str, str]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in kv.items():
-            fh.write(f"{key} = {value}\n")
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> TrainConfig:

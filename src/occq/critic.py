@@ -99,6 +99,34 @@ def encode_future(critic: CriticParams, state_feats: np.ndarray, target: bool = 
     return emb, raw, cache
 
 
+def pair_logits(critic: CriticParams, anchor_feats: np.ndarray, future_feats: np.ndarray, target: bool = False):
+    """Scaled inner products of every anchor with every future state.
+
+    Returns (logits, anchor side, future side); each side is the
+    ``(embedding, raw_output, cache)`` triple of its encoder, kept for the
+    backward pass.
+    """
+    anchor = encode_anchor(critic, anchor_feats)
+    future = encode_future(critic, future_feats, target=target)
+    return (anchor[0] @ future[0].T) / critic.temperature, anchor, future
+
+
+def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb):
+    """Push d loss / d embedding back through the output normalization and
+    ``net``; returns (MLPGrads, input_grad)."""
+    d_raw = nets.l2_normalize_backward(raw, d_emb) if critic.l2_normalize_outputs else d_emb
+    return nets.backward(net, cache, d_raw)
+
+
+def _contrastive_logits(critic: CriticParams, anchor_feats, positive_feats, target: bool):
+    if np.atleast_2d(anchor_feats).shape[0] < 2:
+        raise BatchTooSmall("need at least two anchors for a contrastive batch")
+    logits, anchor, positive = pair_logits(critic, anchor_feats, positive_feats, target=target)
+    if not np.all(np.isfinite(logits)):
+        raise NumericalFault("non-finite logits")
+    return logits, anchor, positive
+
+
 def critic_logits(
     critic: CriticParams,
     anchor_feats: np.ndarray,
@@ -107,54 +135,43 @@ def critic_logits(
 ) -> np.ndarray:
     """K x K similarity matrix: entry (i, j) scores anchor i against
     positive j; the diagonal holds the true pairs."""
-    if np.atleast_2d(anchor_feats).shape[0] < 2:
-        raise BatchTooSmall("need at least two anchors for a contrastive batch")
-    a, _, _ = encode_anchor(critic, anchor_feats)
-    p, _, _ = encode_future(critic, positive_feats, target=target)
-    logits = (a @ p.T) / critic.temperature
+    return _contrastive_logits(critic, anchor_feats, positive_feats, target)[0]
+
+
+def _softmax_lse(logits: np.ndarray):
+    """Row-wise softmax and log-sum-exp of a finite logit matrix."""
+    logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NumericalFault("non-finite logits")
-    return logits
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, np.log(s[:, 0]) + m[:, 0]
 
 
 def infonce_loss(logits: np.ndarray) -> float:
     """Mean over rows of -log softmax(row)[diagonal]."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise NumericalFault("non-finite logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    _, lse = _softmax_lse(logits)
     return float(np.mean(lse - np.diag(logits)))
 
 
 def infonce_grad(logits: np.ndarray) -> np.ndarray:
     """d infonce_loss / d logits."""
-    k = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    g = p.copy()
-    g[np.arange(k), np.arange(k)] -= 1.0
-    return g / k
+    p, _ = _softmax_lse(logits)
+    k = p.shape[0]
+    p[np.arange(k), np.arange(k)] -= 1.0
+    return p / k
 
 
 def partition_reg(logits: np.ndarray) -> float:
     """Mean over rows of (log sum_j exp(logit_ij))^2."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise NumericalFault("non-finite logits")
-    m = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
+    _, lse = _softmax_lse(logits)
     return float(np.mean(lse**2))
 
 
 def partition_reg_grad(logits: np.ndarray) -> np.ndarray:
-    k = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    p = np.exp(logits - m)
-    p /= p.sum(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
-    return (2.0 / k) * lse[:, None] * p
+    p, lse = _softmax_lse(logits)
+    return (2.0 / p.shape[0]) * lse[:, None] * p
 
 
 def ema_update(target: MLPParams, source: MLPParams, beta: float) -> MLPParams:
@@ -180,29 +197,18 @@ def critic_update(
     The batch needs no rewards, so reward-free pretraining runs through this
     exact code path.  Returns (critic, adam, metrics).
     """
-    if np.atleast_2d(anchor_feats).shape[0] < 2:
-        raise BatchTooSmall("need at least two anchors")
-    a_emb, a_raw, a_cache = encode_anchor(critic, anchor_feats)
-    p_emb, p_raw, p_cache = encode_future(critic, positive_feats, target=False)
-    logits = (a_emb @ p_emb.T) / critic.temperature
-    if not np.all(np.isfinite(logits)):
-        raise NumericalFault("non-finite logits")
-
+    logits, (a_emb, a_raw, a_cache), (p_emb, p_raw, p_cache) = _contrastive_logits(
+        critic, anchor_feats, positive_feats, target=False
+    )
     loss = infonce_loss(logits)
     reg = partition_reg(logits)
     dlogits = infonce_grad(logits)
     if config.lambda_partition > 0:
         dlogits = dlogits + config.lambda_partition * partition_reg_grad(logits)
 
-    da_emb = (dlogits @ p_emb) / critic.temperature
-    dp_emb = (dlogits.T @ a_emb) / critic.temperature
-    if critic.l2_normalize_outputs:
-        da_raw = nets.l2_normalize_backward(a_raw, da_emb)
-        dp_raw = nets.l2_normalize_backward(p_raw, dp_emb)
-    else:
-        da_raw, dp_raw = da_emb, dp_emb
-    a_grads, _ = nets.backward(critic.sa_encoder, a_cache, da_raw)
-    p_grads, _ = nets.backward(critic.future_encoder, p_cache, dp_raw)
+    temp = critic.temperature
+    a_grads, _ = embedding_backward(critic, critic.sa_encoder, a_raw, a_cache, (dlogits @ p_emb) / temp)
+    p_grads, _ = embedding_backward(critic, critic.future_encoder, p_raw, p_cache, (dlogits.T @ a_emb) / temp)
 
     arrays = nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder)
     grads = nets.grad_list(critic.sa_encoder, a_grads) + nets.grad_list(critic.future_encoder, p_grads)

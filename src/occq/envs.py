@@ -478,15 +478,6 @@ def behavior_policy(kind: str, **params) -> BehaviorPolicy:
     raise InvalidSpec(f"unknown behavior policy kind {kind!r}")
 
 
-def tabular_policy_table(policy: Callable, mdp: TabularMDP, rng: np.random.Generator, n_samples: int = 0) -> np.ndarray:
-    """Empirical action table of an arbitrary tabular policy (for oracles)."""
-    table = np.zeros((mdp.n_states, mdp.n_actions))
-    for s in range(mdp.n_states):
-        for _ in range(max(n_samples, 1)):
-            table[s, policy(s, rng)] += 1.0
-    return table / table.sum(axis=1, keepdims=True)
-
-
 # -- registry and config-file loading ---------------------------------------
 
 

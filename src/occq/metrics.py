@@ -31,8 +31,6 @@ class MetricsRecord:
     mean_q: float | None = None
     critic_grad_norm: float | None = None
     policy_grad_norm: float | None = None
-    eval_return_mean: float | None = None
-    eval_return_std: float | None = None
     fault: bool = False
     wall_time: float | None = None  # in-memory only, never serialized
 
@@ -83,9 +81,9 @@ class MetricsWriter:
     ever appends during the run.
     """
 
-    def __init__(self, path, resume: bool = False):
+    def __init__(self, path):
         self.path = path
-        self._fh = open(path, "a" if resume else "w", encoding="utf-8")
+        self._fh = open(path, "w", encoding="utf-8")
 
     def append(self, record: MetricsRecord):
         self._fh.write(record.to_line() + "\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalFault, ShapeError
+from .errors import InvalidSpec, NumericalFault, ShapeError
 
 _LN_EPS = 1e-5
 _L2_EPS = 1e-12
@@ -49,6 +49,36 @@ class MLPParams:
     @property
     def n_hidden(self) -> int:
         return len(self.weights) - 1
+
+
+def mlp_to_arrays(prefix: str, mlp: MLPParams) -> dict[str, np.ndarray]:
+    """Checkpoint arrays of one MLP, named ``{prefix}/weight_{i}`` and so on."""
+    out = {}
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        out[f"{prefix}/weight_{i}"] = w
+        out[f"{prefix}/bias_{i}"] = b
+    for i, (s, h) in enumerate(zip(mlp.ln_scales, mlp.ln_shifts)):
+        out[f"{prefix}/ln_scale_{i}"] = s
+        out[f"{prefix}/ln_shift_{i}"] = h
+    return out
+
+
+def mlp_from_arrays(arrays: dict[str, np.ndarray], prefix: str, densenet: bool, layernorm: bool) -> MLPParams:
+    """Inverse of ``mlp_to_arrays``."""
+    weights, biases, scales, shifts = [], [], [], []
+    i = 0
+    while f"{prefix}/weight_{i}" in arrays:
+        weights.append(arrays[f"{prefix}/weight_{i}"])
+        biases.append(arrays[f"{prefix}/bias_{i}"])
+        i += 1
+    i = 0
+    while f"{prefix}/ln_scale_{i}" in arrays:
+        scales.append(arrays[f"{prefix}/ln_scale_{i}"])
+        shifts.append(arrays[f"{prefix}/ln_shift_{i}"])
+        i += 1
+    if not weights:
+        raise InvalidSpec(f"checkpoint is missing {prefix!r} arrays")
+    return MLPParams(weights, biases, scales, shifts, densenet=densenet, layernorm=layernorm)
 
 
 @dataclass(eq=False)
@@ -196,15 +226,6 @@ def with_param_list(params: MLPParams, arrays: list[np.ndarray]) -> MLPParams:
         scales = [a.copy() for a in params.ln_scales]
         shifts = [a.copy() for a in params.ln_shifts]
     return replace(params, weights=weights, biases=biases, ln_scales=scales, ln_shifts=shifts)
-
-
-def zeros_like_grads(params: MLPParams) -> MLPGrads:
-    return MLPGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-        ln_scales=[np.zeros_like(s) for s in params.ln_scales],
-        ln_shifts=[np.zeros_like(s) for s in params.ln_shifts],
-    )
 
 
 def add_grads(a: MLPGrads, b: MLPGrads, scale: float = 1.0) -> MLPGrads:

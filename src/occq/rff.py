@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import nets
-from .critic import CriticParams, encode_anchor, encode_future
+from .critic import CriticParams, embedding_backward, encode_anchor, pair_logits
+from .critic import encode_future  # noqa: F401  (re-exported as occq.rff.encode_future)
 from .errors import AccumulatorUninitialized, InvalidSpec, RewardRequired, ShapeError
 
 
@@ -112,19 +112,75 @@ def q_weighted(exp_logits: np.ndarray, rewards: np.ndarray, gamma: float, weight
     so a plain mean applies.
     """
     exp_logits = np.atleast_2d(exp_logits)
-    r = np.asarray(rewards, dtype=np.float64).reshape(-1)
+    r, w = _rewards_and_weights(rewards, weights)
     if exp_logits.shape[1] != len(r):
         raise InvalidSpec("one reward per future sample required")
+    return exp_logits @ (w * r) / (w.sum() * (1.0 - gamma))
+
+
+def _rewards_and_weights(rewards, weights):
+    r = np.asarray(rewards, dtype=np.float64).reshape(-1)
     if len(r) == 0:
         raise InvalidSpec("need at least one future sample")
     if weights is None:
-        avg = exp_logits @ r / len(r)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if len(w) != len(r):
-            raise InvalidSpec("one weight per future sample required")
-        avg = exp_logits @ (w * r) / w.sum()
-    return avg / (1.0 - gamma)
+        return r, np.ones(len(r))
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if len(w) != len(r):
+        raise InvalidSpec("one weight per future sample required")
+    return r, w
+
+
+# A Q head maps anchor features to (q, anchor side, dq/d anchor embedding);
+# the gradient is returned as a thunk so plain Q queries never pay for it.
+
+
+def _direct_head(critic: CriticParams, future_state_feats, future_rewards, gamma: float, weights=None):
+    if future_rewards is None:
+        raise RewardRequired("direct Q estimation needs future rewards")
+    r, w = _rewards_and_weights(future_rewards, weights)
+
+    def head(sa_feats):
+        logits, anchor, future = pair_logits(critic, sa_feats, future_state_feats, target=True)
+        expl = np.exp(logits)
+
+        def d_emb():
+            # sum_i w_i r_i exp(logit_i) f_i / (sum(w) (1-gamma) temperature)
+            return (expl * (w * r)) @ future[0] / (w.sum() * (1.0 - gamma) * critic.temperature)
+
+        return q_weighted(expl, r, gamma, weights=w), anchor, d_emb
+
+    return head
+
+
+def _rff_head(critic: CriticParams, rff: RFFState, gamma: float):
+    if not rff.initialized:
+        raise AccumulatorUninitialized("no reward-labeled batch folded in yet")
+
+    def head(sa_feats):
+        anchor = encode_anchor(critic, sa_feats)
+        emb = np.atleast_2d(anchor[0])
+        q = rff_features(rff, emb) @ rff.reward_features / (1.0 - gamma)
+        return q, anchor, lambda: rff_features_backward(rff, emb, rff.reward_features) / (1.0 - gamma)
+
+    return head
+
+
+def _q_value(head, sa_feats) -> np.ndarray:
+    q, _, _ = head(sa_feats)
+    return q if np.asarray(sa_feats).ndim > 1 else q[0]
+
+
+def _q_fn(critic: CriticParams, head):
+    """Q function for policy decoding: (state_feats, action_feats) ->
+    (q, dq/d action_feats)."""
+
+    def q_fn(state_feats: np.ndarray, action_feats: np.ndarray):
+        state_feats = np.atleast_2d(state_feats)
+        q, (_, raw, cache), d_emb = head(np.concatenate([state_feats, np.atleast_2d(action_feats)], axis=1))
+        _, d_in = embedding_backward(critic, critic.sa_encoder, raw, cache, d_emb())
+        return q, d_in[:, state_feats.shape[1] :]
+
+    return q_fn
 
 
 def q_value_direct(
@@ -140,49 +196,18 @@ def q_value_direct(
     Encodes the pool through the target future encoder at every call, which
     is exactly the cost the random-feature path amortizes away.
     """
-    a_emb, _, _ = encode_anchor(critic, sa_feats)
-    f_emb, _, _ = encode_future(critic, future_state_feats, target=True)
-    logits = (a_emb @ f_emb.T) / critic.temperature
-    q = q_weighted(np.exp(logits), future_rewards, gamma, weights=weights)
-    return q if np.asarray(sa_feats).ndim > 1 else q[0]
+    return _q_value(_direct_head(critic, future_state_feats, future_rewards, gamma, weights), sa_feats)
 
 
 def q_value_rff(critic: CriticParams, rff: RFFState, sa_feats: np.ndarray, gamma: float) -> np.ndarray:
     """Linearized Q estimate: feature-mapped anchor dotted with the reward
     feature average; no future-encoder work at call time."""
-    if not rff.initialized:
-        raise AccumulatorUninitialized("no reward-labeled batch folded in yet")
-    a_emb, _, _ = encode_anchor(critic, sa_feats)
-    q = rff_features(rff, np.atleast_2d(a_emb)) @ rff.reward_features / (1.0 - gamma)
-    return q if np.asarray(sa_feats).ndim > 1 else q[0]
-
-
-def _anchor_embedding_backward(critic: CriticParams, raw, cache, d_emb):
-    if critic.l2_normalize_outputs:
-        d_raw = nets.l2_normalize_backward(raw, d_emb)
-    else:
-        d_raw = d_emb
-    _, d_in = nets.backward(critic.sa_encoder, cache, d_raw)
-    return d_in
+    return _q_value(_rff_head(critic, rff, gamma), sa_feats)
 
 
 def make_rff_q_fn(critic: CriticParams, rff: RFFState, gamma: float):
-    """Q function for policy decoding: (state_feats, action_feats) ->
-    (q, dq/d action_feats)."""
-    if not rff.initialized:
-        raise AccumulatorUninitialized("no reward-labeled batch folded in yet")
-
-    def q_fn(state_feats: np.ndarray, action_feats: np.ndarray):
-        sa = np.concatenate([np.atleast_2d(state_feats), np.atleast_2d(action_feats)], axis=1)
-        emb, raw, cache = encode_anchor(critic, sa)
-        feats = rff_features(rff, emb)
-        q = feats @ rff.reward_features / (1.0 - gamma)
-        d_emb = rff_features_backward(rff, emb, np.tile(rff.reward_features, (sa.shape[0], 1))) / (1.0 - gamma)
-        d_in = _anchor_embedding_backward(critic, raw, cache, d_emb)
-        da = d_in[:, np.atleast_2d(state_feats).shape[1] :]
-        return q, da
-
-    return q_fn
+    """Random-feature Q function for policy decoding."""
+    return _q_fn(critic, _rff_head(critic, rff, gamma))
 
 
 def make_direct_q_fn(
@@ -192,21 +217,4 @@ def make_direct_q_fn(
     gamma: float,
 ):
     """Direct-path Q function; re-encodes the future pool on every call."""
-    if future_rewards is None:
-        raise RewardRequired("direct Q estimation needs future rewards")
-    r = np.asarray(future_rewards, dtype=np.float64).reshape(-1)
-
-    def q_fn(state_feats: np.ndarray, action_feats: np.ndarray):
-        sa = np.concatenate([np.atleast_2d(state_feats), np.atleast_2d(action_feats)], axis=1)
-        emb, raw, cache = encode_anchor(critic, sa)
-        f_emb, _, _ = encode_future(critic, future_state_feats, target=True)
-        logits = (np.atleast_2d(emb) @ f_emb.T) / critic.temperature
-        expl = np.exp(logits)
-        q = expl @ r / (len(r) * (1.0 - gamma))
-        # dq/d emb: sum_i r_i exp(logit_i) f_i / (K (1-gamma) temperature)
-        d_emb = (expl * r) @ f_emb / (len(r) * (1.0 - gamma) * critic.temperature)
-        d_in = _anchor_embedding_backward(critic, raw, cache, d_emb)
-        da = d_in[:, np.atleast_2d(state_feats).shape[1] :]
-        return q, da
-
-    return q_fn
+    return _q_fn(critic, _direct_head(critic, future_state_feats, future_rewards, gamma))

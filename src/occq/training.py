@@ -92,17 +92,6 @@ def _init_models(config: TrainConfig, dataset: OfflineDataset):
     return critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions
 
 
-def _checkpoint_arrays(prefix: str, mlp) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out[f"{prefix}/weight_{i}"] = w
-        out[f"{prefix}/bias_{i}"] = b
-    for i, (s, h) in enumerate(zip(mlp.ln_scales, mlp.ln_shifts)):
-        out[f"{prefix}/ln_scale_{i}"] = s
-        out[f"{prefix}/ln_shift_{i}"] = h
-    return out
-
-
 def write_training_checkpoint(
     path,
     config: TrainConfig,
@@ -113,11 +102,12 @@ def write_training_checkpoint(
     step: int,
     epoch: int,
 ):
-    arrays = {}
-    arrays.update(_checkpoint_arrays("critic/sa_encoder", critic.sa_encoder))
-    arrays.update(_checkpoint_arrays("critic/future_encoder", critic.future_encoder))
-    arrays.update(_checkpoint_arrays("critic/future_encoder_target", critic.future_encoder_target))
-    arrays.update(_checkpoint_arrays("policy/net", pol.net))
+    arrays = {
+        **nets.mlp_to_arrays("critic/sa_encoder", critic.sa_encoder),
+        **nets.mlp_to_arrays("critic/future_encoder", critic.future_encoder),
+        **nets.mlp_to_arrays("critic/future_encoder_target", critic.future_encoder_target),
+        **nets.mlp_to_arrays("policy/net", pol.net),
+    }
     if rff_state is not None:
         arrays["rff/projection"] = rff_state.projection
         arrays["rff/phase"] = rff_state.phase
@@ -136,23 +126,6 @@ def write_training_checkpoint(
     save_checkpoint(path, arrays, meta)
 
 
-def _mlp_from_arrays(arrays: dict[str, np.ndarray], prefix: str, densenet: bool, layernorm: bool):
-    weights, biases, scales, shifts = [], [], [], []
-    i = 0
-    while f"{prefix}/weight_{i}" in arrays:
-        weights.append(arrays[f"{prefix}/weight_{i}"])
-        biases.append(arrays[f"{prefix}/bias_{i}"])
-        i += 1
-    i = 0
-    while f"{prefix}/ln_scale_{i}" in arrays:
-        scales.append(arrays[f"{prefix}/ln_scale_{i}"])
-        shifts.append(arrays[f"{prefix}/ln_shift_{i}"])
-        i += 1
-    if not weights:
-        raise InvalidSpec(f"checkpoint is missing {prefix!r} arrays")
-    return nets.MLPParams(weights, biases, scales, shifts, densenet=densenet, layernorm=layernorm)
-
-
 def load_policy_checkpoint(path):
     """Rebuild the policy (and its metadata) from a checkpoint file."""
     from .config import config_from_kv
@@ -160,7 +133,7 @@ def load_policy_checkpoint(path):
     arrays, meta = load_checkpoint(path)
     kv = dict(item.split("=", 1) for item in meta["config"].split(";") if item)
     config = config_from_kv(kv)
-    net = _mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
+    net = nets.mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
     pol = PolicyParams(
         net=net,
         action_dim=int(meta["action_dim"]),
@@ -169,6 +142,20 @@ def load_policy_checkpoint(path):
         log_std_max=config.log_std_max,
     )
     return pol, config, meta
+
+
+def _critic_step(config, dataset, featurizer, rng_data, critic, adam_c, include_rewards: bool):
+    """Draw one contrastive batch and take one critic step on it.
+
+    Returns (critic, adam_c, critic metrics, batch, positive feature rows).
+    """
+    batch = sample_batch(dataset, config.gamma, rng_data, include_rewards=include_rewards)
+    anchor_feats = np.concatenate(
+        [featurizer.state_feats(batch.anchor_states), featurizer.action_feats(batch.anchor_actions)], axis=1
+    )
+    positive_feats = featurizer.state_feats(batch.positives)
+    critic, adam_c, metrics = critic_update(critic, anchor_feats, positive_feats, config, adam_c)
+    return critic, adam_c, metrics, batch, positive_feats
 
 
 def train(
@@ -217,17 +204,10 @@ def train(
         for epoch in range(config.epochs):
             for _ in range(config.steps_per_epoch):
                 step += 1
-                batch = sample_batch(dataset, config.gamma, rng_data, include_rewards=True)
-                anchor_feats = np.concatenate(
-                    [
-                        featurizer.state_feats(batch.anchor_states),
-                        featurizer.action_feats(batch.anchor_actions),
-                    ],
-                    axis=1,
-                )
-                positive_feats = featurizer.state_feats(batch.positives)
                 try:
-                    critic, adam_c, cm = critic_update(critic, anchor_feats, positive_feats, config, adam_c)
+                    critic, adam_c, cm, batch, positive_feats = _critic_step(
+                        config, dataset, featurizer, rng_data, critic, adam_c, include_rewards=True
+                    )
                     if config.use_rff:
                         target_emb, _, _ = encode_future(critic, positive_feats, target=True)
                         rff_state = update_reward_features(
@@ -248,19 +228,7 @@ def train(
                         pol, featurizer.state_feats(states), actions, q_fn, config, adam_p, rng_actions
                     )
                     policy_phase_rows += future_encode_rows() - rows_before
-                    record = MetricsRecord(
-                        step=step,
-                        epoch=epoch,
-                        critic_loss=cm["critic_loss"],
-                        partition_reg=cm["partition_reg"],
-                        positive_logit_mean=cm["positive_logit_mean"],
-                        critic_grad_norm=cm["critic_grad_norm"],
-                        policy_kl_loss=pm["policy_kl_loss"],
-                        bc_loss=pm["bc_loss"],
-                        mean_q=pm["mean_q"],
-                        policy_grad_norm=pm["policy_grad_norm"],
-                        wall_time=time.monotonic() - start,
-                    )
+                    record = MetricsRecord(step=step, epoch=epoch, **cm, **pm, wall_time=time.monotonic() - start)
                 except NumericalFault:
                     fault_count += 1
                     record = MetricsRecord(step=step, epoch=epoch, fault=True)
@@ -317,13 +285,9 @@ def pretrain_critic(
         state = _init_models(config, dataset)
     critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions = state
     for _ in range(steps):
-        batch = sample_batch(dataset, config.gamma, rng_data, include_rewards=False)
-        anchor_feats = np.concatenate(
-            [featurizer.state_feats(batch.anchor_states), featurizer.action_feats(batch.anchor_actions)],
-            axis=1,
+        critic, adam_c, *_ = _critic_step(
+            config, dataset, featurizer, rng_data, critic, adam_c, include_rewards=False
         )
-        positive_feats = featurizer.state_feats(batch.positives)
-        critic, adam_c, _ = critic_update(critic, anchor_feats, positive_feats, config, adam_c)
     return critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions
 
 

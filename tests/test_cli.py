@@ -86,6 +86,14 @@ def test_train_set_overrides(config_file, small_dataset_file, tmp_path):
     assert len(records) == 2
 
 
+@pytest.mark.parametrize("override", ["epochs=abc", "hidden_sizes=a,b", "use_rff=maybe"])
+def test_train_bad_set_value_exits_1(config_file, small_dataset_file, tmp_path, capsys, override):
+    args = ["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(tmp_path)]
+    assert cli(args + ["--set", override]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(override.split("=")[0]) in err
+
+
 def test_eval_checkpoint(config_file, small_dataset_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli(["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(out)]) == 0

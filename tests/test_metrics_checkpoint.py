@@ -120,3 +120,13 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(VersionError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["key", "value"])
+    def test_bad_utf8_string_rejected(self, tmp_path, rng, text):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": rng.standard_normal(3)}, {"key": "value"})
+        data = bytearray(path.read_bytes())
+        data[data.index(text.encode())] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

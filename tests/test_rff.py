@@ -254,6 +254,30 @@ class TestQFnGradients:
         assert max_rel_error([da], fd) <= 1e-4
 
 
+class TestQFnMatchesQValue:
+    # the policy-decoding closures and the plain estimators share one head
+    # per path, so their Q values agree to the last bit
+
+    def test_direct(self, rng):
+        critic = init_critic(rng, 4, 2, (6,), 4)
+        futures = rng.standard_normal((9, 4))
+        rewards = rng.standard_normal(9)
+        states, actions = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+        q, _ = make_direct_q_fn(critic, futures, rewards, 0.9)(states, actions)
+        sa = np.concatenate([states, actions], axis=1)
+        assert np.array_equal(q, q_value_direct(critic, sa, futures, rewards, 0.9))
+
+    def test_rff(self, rng):
+        critic = init_critic(rng, 4, 2, (6,), 4)
+        rff = init_rff(rng, 32, 4, 0.5)
+        f_emb, _, _ = encode_future(critic, rng.standard_normal((5, 4)), target=True)
+        rff = update_reward_features(rff, rff_features(rff, f_emb), rng.standard_normal(5))
+        states, actions = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+        q, _ = make_rff_q_fn(critic, rff, 0.9)(states, actions)
+        sa = np.concatenate([states, actions], axis=1)
+        assert np.array_equal(q, q_value_rff(critic, rff, sa, 0.9))
+
+
 def test_q_weighted_validates():
     with pytest.raises(InvalidSpec):
         q_weighted(np.ones((2, 3)), np.ones(2), 0.9)
