@@ -15,13 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from occq.analysis import q_topology_report, ratio_recovery_spearman
-from occq.config import TrainConfig
+from occq.config import load_config
 from occq.data import generate_dataset, state_action_frequencies
-from occq.envs import behavior_policy, epsilon_soft_table, make_gridworld
+from occq.envs import behavior_policy, epsilon_soft_table, make_env
 from occq.features import featurizer_for
 from occq.oracle import exact_q, value_iteration
 from occq.policy import policy_table
 from occq.training import evaluate, train
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main():
@@ -33,24 +35,12 @@ def main():
     parser.add_argument("--out", default=None, help="optional checkpoint/metrics directory")
     args = parser.parse_args()
 
-    env = make_gridworld(5, 5, goal_cell=24, slip_prob=0.1, gamma=0.9, horizon=40)
+    env = make_env("gridworld5x5")
     behavior = behavior_policy("epsilon_soft_tabular", mdp=env, epsilon=args.epsilon)
     dataset = generate_dataset(env, behavior, n_episodes=args.episodes, seed=args.seed)
 
-    config = TrainConfig(
-        gamma=env.gamma,
-        epochs=10,
-        steps_per_epoch=args.steps // 10,
-        hidden_sizes=(64, 64),
-        latent_dim=16,
-        l2_normalize=False,  # unbounded logits fit tabular log-ratios better
-        use_rff=False,  # tabular scale: the direct estimator is cheaper
-        lambda_partition=0.1,  # pins per-anchor constants hard at this batch size
-        lambda_bc=0.25,
-        entropy_coeff=0.1,
-        tau_boltzmann=0.002,
-        seed=args.seed,
-    )
+    overrides = {"epochs": "10", "steps_per_epoch": str(args.steps // 10), "seed": str(args.seed)}
+    config = load_config(CONFIGS / "grid.toml", overrides=overrides)
     start = time.time()
     result = train(config, dataset, out_dir=args.out)
     print(f"trained {args.steps} steps in {time.time() - start:.0f}s")

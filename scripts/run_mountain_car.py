@@ -9,13 +9,16 @@ data-collection controller.
 
 import argparse
 import time
+from pathlib import Path
 
 import numpy as np
 
-from occq.config import TrainConfig
+from occq.config import load_config
 from occq.data import generate_dataset
 from occq.envs import MountainCarEnv, behavior_policy, rollout
 from occq.training import evaluate, train
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def behavior_stats(env, controller, n_episodes, seed):
@@ -43,20 +46,8 @@ def main():
     lengths = [ep.n_steps for ep in dataset.episodes]
     print(f"dataset: {len(lengths)} episodes, steps min/mean/max = {min(lengths)}/{np.mean(lengths):.0f}/{max(lengths)}")
 
-    config = TrainConfig(
-        gamma=env.gamma,
-        epochs=10,
-        steps_per_epoch=args.steps // 10,
-        hidden_sizes=(64, 64),
-        latent_dim=16,
-        rff_dim=512,
-        use_rff=True,
-        l2_normalize=True,
-        lambda_bc=0.0,  # mountain car decodes without behavior cloning
-        tau_boltzmann=0.5,
-        policy_state_cap=128,
-        seed=args.seed,
-    )
+    overrides = {"epochs": "10", "steps_per_epoch": str(args.steps // 10), "seed": str(args.seed)}
+    config = load_config(CONFIGS / "mountain_car.toml", overrides=overrides)
     start = time.time()
     result = train(config, dataset, out_dir=args.out)
     print(f"trained {args.steps} steps in {time.time() - start:.0f}s (faults: {result.fault_count})")

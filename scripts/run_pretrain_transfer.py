@@ -10,16 +10,19 @@ seeds.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
 from occq.analysis import ratio_recovery_spearman
-from occq.config import TrainConfig
+from occq.config import load_config
 from occq.data import generate_dataset, state_action_frequencies, strip_rewards
-from occq.envs import behavior_policy, epsilon_soft_table, make_gridworld
+from occq.envs import behavior_policy, epsilon_soft_table, make_env
 from occq.features import featurizer_for
 from occq.oracle import value_iteration
 from occq.training import pretrain_then_finetune, train
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def steps_to_threshold(probe_log, threshold):
@@ -30,8 +33,8 @@ def steps_to_threshold(probe_log, threshold):
 
 
 def run_pair(seed, pretrain_steps, finetune_steps, threshold, probe_every):
-    source = make_gridworld(5, 5, goal_cell=24, slip_prob=0.1, gamma=0.9, horizon=40)
-    target = make_gridworld(5, 5, goal_cell=20, slip_prob=0.1, gamma=0.9, horizon=40)
+    source = make_env("gridworld5x5")
+    target = make_env("gridworld5x5b")
     src_behavior = behavior_policy("epsilon_soft_tabular", mdp=source, epsilon=0.3)
     tgt_behavior = behavior_policy("epsilon_soft_tabular", mdp=target, epsilon=0.3)
     unlabeled = strip_rewards(generate_dataset(source, src_behavior, n_episodes=300, seed=seed + 1000))
@@ -45,20 +48,8 @@ def run_pair(seed, pretrain_steps, finetune_steps, threshold, probe_every):
     def probe(step, critic, pol, rff):
         return ratio_recovery_spearman(critic, feats, target, btable, weights)[0]
 
-    config = TrainConfig(
-        gamma=0.9,
-        epochs=1,
-        steps_per_epoch=finetune_steps,
-        hidden_sizes=(64, 64),
-        latent_dim=16,
-        l2_normalize=False,
-        use_rff=False,
-        lambda_partition=0.1,
-        lambda_bc=0.25,
-        entropy_coeff=0.1,
-        tau_boltzmann=0.002,
-        seed=seed,
-    )
+    overrides = {"epochs": "1", "steps_per_epoch": str(finetune_steps), "seed": str(seed)}
+    config = load_config(CONFIGS / "grid.toml", overrides=overrides)
     scratch = train(config, labeled, probe=probe, probe_every=probe_every)
     pretrained = pretrain_then_finetune(
         config, unlabeled, labeled, pretrain_steps=pretrain_steps, probe=probe, probe_every=probe_every

@@ -7,6 +7,7 @@ files.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -74,7 +75,7 @@ def load_checkpoint(path):
                 raise FormatError(f"unknown dtype code {code}")
             shape = struct.unpack_from(f"<{ndim}Q", view, pos)
             pos += 8 * ndim
-            count = int(np.prod(shape)) if ndim else 1
+            count = math.prod(shape)
             nbytes = count * 8
             if pos + nbytes > len(blob):
                 raise FormatError("truncated checkpoint")

@@ -91,10 +91,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(key: str, text: str):
-    if key not in _FIELD_TYPES:
-        raise InvalidSpec(f"unknown config key {key!r}")
-    target_type = _FIELD_TYPES[key]
+def _parse_value(key: str, text: str, types: dict = _FIELD_TYPES):
+    """Parse ``text`` as the type ``types[key]`` (``TrainConfig``'s by default)."""
+    if key not in types:
+        raise InvalidSpec(f"unknown key {key!r}")
+    target_type = types[key]
     text = text.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         text = text[1:-1]
@@ -113,7 +114,7 @@ def _parse_value(key: str, text: str):
         if target_type == tuple[int, ...]:
             return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
-        raise InvalidSpec(f"bad value for config key {key!r}: {text!r}") from None
+        raise InvalidSpec(f"bad value for key {key!r}: {text!r}") from None
     return text
 
 

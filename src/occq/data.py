@@ -157,8 +157,7 @@ def sample_batch(
         raise InvalidSpec("no episode has at least two states")
 
     def draw_episode(exclude: int | None) -> int | None:
-        candidates = [i for i in usable if i != exclude]
-        if not candidates:
+        if usable == [exclude]:
             return None
         while True:
             i = int(rng.integers(len(dataset.episodes)))
@@ -248,6 +247,10 @@ class _TokenReader:
         except ValueError:
             raise FormatError(f"expected hex float, got {tok!r}", line=self.line) from None
 
+    def done(self):
+        if self.pos != len(self.tokens):
+            raise FormatError("trailing tokens", line=self.line)
+
 
 def _read_array(reader: _TokenReader, kind: str, width: int) -> np.ndarray:
     n = reader.take_int()
@@ -295,13 +298,37 @@ def save(dataset: OfflineDataset, path):
         fh.write(buf.getvalue())
 
 
-def _header_value(lines: list[str], idx: int, key: str) -> list[str]:
-    if idx >= len(lines):
-        raise FormatError(f"missing header line {key!r}", line=idx + 1)
-    parts = lines[idx].split()
-    if not parts or parts[0] != key:
+def _read_space(reader: _TokenReader) -> SpaceInfo:
+    kind = reader.take()
+    if kind == "index":
+        return SpaceInfo("index", "index", n_states=reader.take_int(), n_actions=reader.take_int())
+    if kind != "vector":
+        raise FormatError(f"unknown space kind {kind!r}", line=reader.line)
+    sd, ad = reader.take_int(), reader.take_int()
+    low, high, action_low, action_high = (
+        tuple(reader.take_float() for _ in range(n)) for n in (sd, sd, ad, ad)
+    )
+    return SpaceInfo(
+        "vector",
+        "vector",
+        state_dim=sd,
+        action_dim=ad,
+        state_low=low,
+        state_high=high,
+        action_low=action_low,
+        action_high=action_high,
+    )
+
+
+def _header(lines: list[str], idx: int, key: str, take):
+    """Parse header line ``idx``: the word ``key``, ``take(reader)``, then nothing else."""
+    reader = _TokenReader(lines[idx].split() if idx < len(lines) else [], line=idx + 1)
+    if reader.tokens[:1] != [key]:
         raise FormatError(f"expected header {key!r}", line=idx + 1)
-    return parts[1:]
+    reader.pos = 1
+    value = take(reader)
+    reader.done()
+    return value
 
 
 def load(path) -> OfflineDataset:
@@ -315,46 +342,18 @@ def load(path) -> OfflineDataset:
         raise FormatError("not a dataset file", line=1)
     if len(magic) != 2 or magic[1] != f"v{_VERSION}":
         raise VersionError(f"unsupported dataset version {' '.join(magic[1:])!r}")
-    env_id = _header_value(lines, 1, "env_id")[0]
-    gamma = float.fromhex(_header_value(lines, 2, "gamma")[0])
-    horizon = int(_header_value(lines, 3, "horizon")[0])
-    rewards_available = bool(int(_header_value(lines, 4, "rewards_available")[0]))
-    behavior = _header_value(lines, 5, "behavior")[0]
-    space_parts = _header_value(lines, 6, "space")
-    try:
-        if space_parts[0] == "index":
-            space = SpaceInfo(
-                state_kind="index",
-                action_kind="index",
-                n_states=int(space_parts[1]),
-                n_actions=int(space_parts[2]),
-            )
-        elif space_parts[0] == "vector":
-            sd, ad = int(space_parts[1]), int(space_parts[2])
-            vals = [float.fromhex(v) for v in space_parts[3:]]
-            if len(vals) != 2 * sd + 2 * ad:
-                raise FormatError("space bounds do not match dimensions", line=7)
-            space = SpaceInfo(
-                state_kind="vector",
-                action_kind="vector",
-                state_dim=sd,
-                action_dim=ad,
-                state_low=tuple(vals[:sd]),
-                state_high=tuple(vals[sd : 2 * sd]),
-                action_low=tuple(vals[2 * sd : 2 * sd + ad]),
-                action_high=tuple(vals[2 * sd + ad :]),
-            )
-        else:
-            raise FormatError(f"unknown space kind {space_parts[0]!r}", line=7)
-    except (ValueError, IndexError):
-        raise FormatError("malformed space header", line=7) from None
-    n_episodes = int(_header_value(lines, 7, "episodes")[0])
+    env_id = _header(lines, 1, "env_id", _TokenReader.take)
+    gamma = _header(lines, 2, "gamma", _TokenReader.take_float)
+    horizon = _header(lines, 3, "horizon", _TokenReader.take_int)
+    rewards_available = bool(_header(lines, 4, "rewards_available", _TokenReader.take_int))
+    behavior = _header(lines, 5, "behavior", _TokenReader.take)
+    space = _header(lines, 6, "space", _read_space)
+    n_episodes = _header(lines, 7, "episodes", _TokenReader.take_int)
+    if len(lines) - 8 != n_episodes:
+        raise FormatError(f"{n_episodes} episode records declared, {len(lines) - 8} found")
     episodes = []
-    for i in range(n_episodes):
-        lineno = 9 + i
-        if 8 + i >= len(lines):
-            raise FormatError("fewer episode records than declared", line=lineno)
-        reader = _TokenReader(lines[8 + i].split(), line=lineno)
+    for lineno, line in enumerate(lines[8:], start=9):
+        reader = _TokenReader(line.split(), line=lineno)
         states = _read_array(reader, space.state_kind, space.state_dim)
         actions = _read_array(reader, space.action_kind, space.action_dim)
         n_rewards = reader.take_int()
@@ -362,8 +361,7 @@ def load(path) -> OfflineDataset:
         if n_rewards:
             rewards = np.array([reader.take_float() for _ in range(n_rewards)])
         terminal = bool(reader.take_int())
-        if reader.pos != len(reader.tokens):
-            raise FormatError("trailing tokens in episode record", line=lineno)
+        reader.done()
         episodes.append(Trajectory(states=states, actions=actions, rewards=rewards, terminal=terminal))
     try:
         return OfflineDataset(

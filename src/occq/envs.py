@@ -17,12 +17,15 @@ the action fold it into the post-transition reward.
 
 from __future__ import annotations
 
+import inspect
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
+from .config import _parse_value, read_kv
 from .errors import InvalidAction, InvalidSpec, NumericalFault
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
@@ -241,22 +244,67 @@ def rollout(env: Env, policy: Callable, rng: np.random.Generator, max_len: int) 
         if done:
             terminal = True
             break
-    if isinstance(env, TabularMDP):
-        traj = Trajectory(
-            states=np.array(states, dtype=np.int64),
-            actions=np.array(actions, dtype=np.int64),
-            rewards=np.array(rewards, dtype=np.float64),
-            terminal=terminal,
-        )
-    else:
-        traj = Trajectory(
-            states=np.stack(states).astype(np.float64),
-            actions=np.stack(actions).astype(np.float64),
-            rewards=np.array(rewards, dtype=np.float64),
-            terminal=terminal,
-        )
+    dtype = np.int64 if isinstance(env, TabularMDP) else np.float64
+    traj = Trajectory(
+        states=np.array(states, dtype=dtype),
+        actions=np.array(actions, dtype=dtype),
+        rewards=np.array(rewards, dtype=np.float64),
+        terminal=terminal,
+    )
     traj.validate(horizon=env.horizon)
     return traj
+
+
+def _grid_mdp(
+    cells: dict[tuple[int, int], int],
+    goal: int,
+    starts: list[int],
+    step_reward: float,
+    goal_reward: float,
+    slip_prob: float,
+    gamma: float,
+    horizon: int,
+    env_id: str,
+) -> TabularMDP:
+    """Four-action grid MDP over ``cells`` ({(row, col): state index}).
+
+    The goal is absorbing.  With probability ``slip_prob`` the agent moves
+    in a uniformly random direction instead of the intended one; a move to
+    a position outside ``cells`` (off the grid or into a wall) leaves it in
+    place.  Starts are uniform over ``starts``, or over every non-goal cell
+    when there are none.
+    """
+    if not 0.0 <= slip_prob < 1.0:
+        raise InvalidSpec("slip_prob must lie in [0, 1)")
+    n = len(cells)
+    if n < 2:
+        raise InvalidSpec("grid needs at least two cells")
+    P = np.zeros((n, 4, n))
+    for (r, c), s in cells.items():
+        if s == goal:
+            P[s, :, s] = 1.0
+            continue
+        moves = [cells.get((r + dr, c + dc), s) for dr, dc in _GRID_MOVES.values()]
+        for a in range(4):
+            P[s, a, moves[a]] += 1.0 - slip_prob
+            for d in range(4):
+                P[s, a, moves[d]] += slip_prob / 4.0
+    reward = np.full(n, step_reward, dtype=np.float64)
+    reward[goal] = goal_reward
+    start = np.zeros(n)
+    start[starts or [s for s in range(n) if s != goal]] = 1.0
+    start /= start.sum()
+    return TabularMDP(
+        n_states=n,
+        n_actions=4,
+        transition=P,
+        reward=reward,
+        start_dist=start,
+        gamma=gamma,
+        horizon=horizon,
+        env_id=env_id,
+        reward_range=(float(min(step_reward, goal_reward)), float(max(step_reward, goal_reward))),
+    )
 
 
 def make_gridworld(
@@ -278,49 +326,11 @@ def make_gridworld(
     """
     if width < 1 or height < 1:
         raise InvalidSpec("grid must have positive area")
-    n = width * height
-    if n < 2:
-        raise InvalidSpec("grid needs at least two cells")
-    if not 0 <= goal_cell < n:
+    if not 0 <= goal_cell < width * height:
         raise InvalidSpec(f"goal cell {goal_cell} outside the grid")
-    if not 0.0 <= slip_prob < 1.0:
-        raise InvalidSpec("slip_prob must lie in [0, 1)")
-
-    def move(cell: int, direction: int) -> int:
-        r, c = divmod(cell, width)
-        dr, dc = _GRID_MOVES[direction]
-        nr, nc = r + dr, c + dc
-        if 0 <= nr < height and 0 <= nc < width:
-            return nr * width + nc
-        return cell
-
-    P = np.zeros((n, 4, n))
-    for s in range(n):
-        if s == goal_cell:
-            P[s, :, s] = 1.0
-            continue
-        for a in range(4):
-            P[s, a, move(s, a)] += 1.0 - slip_prob
-            for d in range(4):
-                P[s, a, move(s, d)] += slip_prob / 4.0
-    reward = np.full(n, step_reward, dtype=np.float64)
-    reward[goal_cell] = goal_reward
-    start = np.ones(n)
-    start[goal_cell] = 0.0
-    start /= start.sum()
-    lo = float(min(step_reward, goal_reward))
-    hi = float(max(step_reward, goal_reward))
-    return TabularMDP(
-        n_states=n,
-        n_actions=4,
-        transition=P,
-        reward=reward,
-        start_dist=start,
-        gamma=gamma,
-        horizon=horizon,
-        env_id=f"gridworld-{width}x{height}-goal{goal_cell}-slip{slip_prob:g}",
-        reward_range=(lo, hi),
-    )
+    cells = {divmod(i, width): i for i in range(width * height)}
+    env_id = f"gridworld-{width}x{height}-goal{goal_cell}-slip{slip_prob:g}"
+    return _grid_mdp(cells, goal_cell, [], step_reward, goal_reward, slip_prob, gamma, horizon, env_id)
 
 
 def gridworld_from_ascii(
@@ -364,44 +374,8 @@ def gridworld_from_ascii(
                 starts.append(idx)
     if goal is None:
         raise InvalidSpec("layout must contain a goal cell")
-    n = len(cells)
-    if n < 2:
-        raise InvalidSpec("layout needs at least two free cells")
-
-    def move(rc, direction):
-        dr, dc = _GRID_MOVES[direction]
-        target = (rc[0] + dr, rc[1] + dc)
-        return target if target in cells else rc
-
-    P = np.zeros((n, 4, n))
-    for rc, s in cells.items():
-        if s == goal:
-            P[s, :, s] = 1.0
-            continue
-        for a in range(4):
-            P[s, a, cells[move(rc, a)]] += 1.0 - slip_prob
-            for d in range(4):
-                P[s, a, cells[move(rc, d)]] += slip_prob / 4.0
-    reward = np.full(n, step_reward, dtype=np.float64)
-    reward[goal] = goal_reward
-    start = np.zeros(n)
-    if starts:
-        start[starts] = 1.0
-    else:
-        start[:] = 1.0
-        start[goal] = 0.0
-    start /= start.sum()
-    return TabularMDP(
-        n_states=n,
-        n_actions=4,
-        transition=P,
-        reward=reward,
-        start_dist=start,
-        gamma=gamma,
-        horizon=horizon,
-        env_id=f"gridworld-ascii-{width}x{height}-goal{goal}-slip{slip_prob:g}",
-        reward_range=(min(step_reward, goal_reward), max(step_reward, goal_reward)),
-    )
+    env_id = f"gridworld-ascii-{width}x{height}-goal{goal}-slip{slip_prob:g}"
+    return _grid_mdp(cells, goal, starts, step_reward, goal_reward, slip_prob, gamma, horizon, env_id)
 
 
 @dataclass
@@ -523,45 +497,36 @@ def make_env(name_or_path: str) -> Env:
     return load_env_spec(name_or_path)
 
 
+_ENV_KINDS: dict[str, Callable[..., Env]] = {
+    "gridworld": make_gridworld,
+    "chain": make_chain,
+    "mountain_car": MountainCarEnv,
+}
+
+
 def load_env_spec(path) -> Env:
     """Load an environment from a flat key-value text file.
 
-    Required key ``kind`` in {gridworld, mountain_car, chain}; remaining keys
-    mirror the factory arguments.  Gridworlds may point at an ASCII layout
-    via ``layout_file``.
+    Required key ``kind`` in {gridworld, chain, mountain_car}; every other
+    key is an argument of that kind's factory, typed and defaulted by the
+    factory's own signature.  A gridworld spec with ``layout_file`` is
+    built from that ASCII layout.  An unknown key, a bad value or a missing
+    required argument raises ``InvalidSpec``.
     """
-    from .config import read_kv  # local import avoids a cycle
-
     kv = read_kv(path)
     kind = kv.pop("kind", None)
-    if kind is None:
-        raise InvalidSpec(f"{path}: env spec needs a 'kind' key")
-    if kind == "mountain_car":
-        floats = {k: float(v) for k, v in kv.items() if k != "horizon"}
-        if "horizon" in kv:
-            floats["horizon"] = int(kv["horizon"])
-        return MountainCarEnv(**floats)
-    if kind == "chain":
-        return make_chain(
-            n_states=int(kv.get("n_states", 2)),
-            gamma=float(kv.get("gamma", 0.9)),
-            horizon=int(kv.get("horizon", 10)),
-        )
-    if kind == "gridworld":
-        common = dict(
-            step_reward=float(kv.get("step_reward", 0.0)),
-            goal_reward=float(kv.get("goal_reward", 1.0)),
-            slip_prob=float(kv.get("slip_prob", 0.0)),
-            gamma=float(kv.get("gamma", 0.99)),
-            horizon=int(kv.get("horizon", 50)),
-        )
-        if "layout_file" in kv:
-            with open(kv["layout_file"], "r", encoding="utf-8") as fh:
-                return gridworld_from_ascii(fh.read(), **common)
-        return make_gridworld(
-            width=int(kv["width"]),
-            height=int(kv["height"]),
-            goal_cell=int(kv["goal_cell"]),
-            **common,
-        )
-    raise InvalidSpec(f"unknown env kind {kind!r}")
+    if kind not in _ENV_KINDS:
+        raise InvalidSpec(f"{path}: env spec needs kind = one of {', '.join(_ENV_KINDS)}, got {kind!r}")
+    factory = _ENV_KINDS[kind]
+    args = {}
+    if kind == "gridworld" and "layout_file" in kv:
+        factory = gridworld_from_ascii
+        with open(kv.pop("layout_file"), "r", encoding="utf-8") as fh:
+            args["layout"] = fh.read()
+    types = typing.get_type_hints(factory)
+    try:
+        args.update((key, _parse_value(key, text, types)) for key, text in kv.items())
+        bound = inspect.signature(factory).bind(**args)
+    except (InvalidSpec, TypeError) as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
+    return factory(*bound.args, **bound.kwargs)

@@ -128,10 +128,11 @@ def forward(params: MLPParams, x: np.ndarray):
     for i in range(params.n_hidden):
         z = h @ params.weights[i].T + params.biases[i]
         if params.layernorm:
-            mean = z.mean(axis=1, keepdims=True)
-            var = z.var(axis=1, keepdims=True)
+            # np.mean / np.var arithmetic (same bits) without their call overhead
+            centered = z - np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
+            var = np.add.reduce(centered * centered, axis=1, keepdims=True) / z.shape[1]
             inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-            z_hat = (z - mean) * inv_std
+            z_hat = centered * inv_std
             n = params.ln_scales[i] * z_hat + params.ln_shifts[i]
         else:
             z_hat, inv_std = None, None
@@ -149,9 +150,9 @@ def forward(params: MLPParams, x: np.ndarray):
 
 def _layernorm_backward(dn, z_hat, inv_std, scale):
     d_hat = dn * scale
-    dz = inv_std * (
-        d_hat - d_hat.mean(axis=1, keepdims=True) - z_hat * (d_hat * z_hat).mean(axis=1, keepdims=True)
-    )
+    width = d_hat.shape[1]
+    mean_d, mean_dz = (np.add.reduce(a, axis=1, keepdims=True) / width for a in (d_hat, d_hat * z_hat))
+    dz = inv_std * (d_hat - mean_d - z_hat * mean_dz)
     return dz, (dn * z_hat).sum(axis=0), dn.sum(axis=0)
 
 
@@ -226,15 +227,6 @@ def with_param_list(params: MLPParams, arrays: list[np.ndarray]) -> MLPParams:
         scales = [a.copy() for a in params.ln_scales]
         shifts = [a.copy() for a in params.ln_shifts]
     return replace(params, weights=weights, biases=biases, ln_scales=scales, ln_shifts=shifts)
-
-
-def add_grads(a: MLPGrads, b: MLPGrads, scale: float = 1.0) -> MLPGrads:
-    return MLPGrads(
-        weights=[x + scale * y for x, y in zip(a.weights, b.weights)],
-        biases=[x + scale * y for x, y in zip(a.biases, b.biases)],
-        ln_scales=[x + scale * y for x, y in zip(a.ln_scales, b.ln_scales)],
-        ln_shifts=[x + scale * y for x, y in zip(a.ln_shifts, b.ln_shifts)],
-    )
 
 
 @dataclass(eq=False)

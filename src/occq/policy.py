@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nets
 from .config import TrainConfig
-from .errors import InvalidSpec, NumericalFault
+from .errors import InvalidSpec
 from .nets import AdamState, MLPParams
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -92,8 +92,6 @@ def sample_actions(policy: PolicyParams, state_feats: np.ndarray, rng: np.random
         raise InvalidSpec("need at least one sample")
     state_feats = np.atleast_2d(state_feats)
     out, _ = nets.forward(policy.net, state_feats)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFault("non-finite policy head")
     if policy.discrete:
         logp = _log_softmax(out)
         cdf = np.cumsum(np.exp(logp), axis=1)
@@ -159,17 +157,16 @@ def kl_boltzmann_loss(
     state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
     out, cache = nets.forward(policy.net, state_feats)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFault("non-finite policy head")
 
     if policy.discrete:
         na = policy.action_dim
         logp = _log_softmax(out)
         p = np.exp(logp)
-        # One q_fn call scoring every (state, action) combination.
+        # One call scores every (state, action) pair; no dQ/da, so use ``values`` if offered.
         tiled_states = np.repeat(state_feats, na, axis=0)
         tiled_actions = np.tile(np.eye(na), (n, 1))
-        q_flat, _ = q_fn(tiled_states, tiled_actions)
+        values = getattr(q_fn, "values", None)
+        q_flat = values(tiled_states, tiled_actions) if values else q_fn(tiled_states, tiled_actions)[0]
         q = q_flat.reshape(n, na)
         advantage = logp - q / tau
         loss = float((p * advantage).sum(axis=1).mean())
@@ -221,8 +218,6 @@ def bc_loss(
     state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
     out, cache = nets.forward(policy.net, state_feats)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFault("non-finite policy head")
 
     if policy.discrete:
         idx = np.asarray(actions, dtype=np.int64).reshape(-1)
@@ -285,7 +280,7 @@ def policy_update(
         policy, q_fn, state_feats, tau=config.tau_boltzmann, n_a=config.n_action_samples, rng=rng
     )
     metrics = {"policy_kl_loss": kl, "mean_q": info["mean_q"], "bc_loss": 0.0}
-    grads = kl_grads
+    glist = nets.grad_list(policy.net, kl_grads)
     if config.lambda_bc > 0:
         bc, bc_grads, _ = bc_loss(
             policy,
@@ -296,9 +291,8 @@ def policy_update(
             n_a=config.n_action_samples,
         )
         metrics["bc_loss"] = bc
-        grads = nets.add_grads(kl_grads, bc_grads, scale=config.lambda_bc)
+        glist = [k + config.lambda_bc * b for k, b in zip(glist, nets.grad_list(policy.net, bc_grads))]
     arrays = nets.param_list(policy.net)
-    glist = nets.grad_list(policy.net, grads)
     adam, new_arrays, grad_norm = nets.adam_step(adam, arrays, glist, max_grad_norm=config.max_grad_norm)
     metrics["policy_grad_norm"] = grad_norm
     new_policy = replace(policy, net=nets.with_param_list(policy.net, new_arrays))

@@ -69,8 +69,10 @@ def rff_features(rff: RFFState, z: np.ndarray) -> np.ndarray:
     rows = z[None, :] if single else z
     if rows.shape[1] != rff.latent_dim:
         raise ShapeError(f"latent width {rows.shape[1]} does not match projection {rff.latent_dim}")
-    scale = np.sqrt(2.0 * np.e / rff.feature_dim)
-    out = scale * np.cos(rows @ rff.projection.T + rff.phase)
+    out = rows @ rff.projection.T  # updated in place: at rff_dim columns, a step's largest array
+    out += rff.phase
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0 * np.e / rff.feature_dim)
     return out[0] if single else out
 
 
@@ -78,8 +80,11 @@ def rff_features_backward(rff: RFFState, z: np.ndarray, dout: np.ndarray) -> np.
     """Gradient of ``rff_features`` w.r.t. its latent input."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     dout = np.atleast_2d(np.asarray(dout, dtype=np.float64))
-    scale = np.sqrt(2.0 * np.e / rff.feature_dim)
-    inner = -scale * np.sin(z @ rff.projection.T + rff.phase) * dout
+    inner = z @ rff.projection.T
+    inner += rff.phase
+    np.sin(inner, out=inner)
+    inner *= -np.sqrt(2.0 * np.e / rff.feature_dim)
+    inner *= dout
     return inner @ rff.projection
 
 
@@ -172,7 +177,8 @@ def _q_value(head, sa_feats) -> np.ndarray:
 
 def _q_fn(critic: CriticParams, head):
     """Q function for policy decoding: (state_feats, action_feats) ->
-    (q, dq/d action_feats)."""
+    (q, dq/d action_feats); its ``values`` attribute returns q alone,
+    skipping the backward pass."""
 
     def q_fn(state_feats: np.ndarray, action_feats: np.ndarray):
         state_feats = np.atleast_2d(state_feats)
@@ -180,6 +186,7 @@ def _q_fn(critic: CriticParams, head):
         _, d_in = embedding_backward(critic, critic.sa_encoder, raw, cache, d_emb())
         return q, d_in[:, state_feats.shape[1] :]
 
+    q_fn.values = lambda s, a: head(np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1))[0]
     return q_fn
 
 

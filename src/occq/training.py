@@ -26,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_hash, config_to_kv
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
 from .data import OfflineDataset, sample_batch
-from .envs import Env, TabularMDP, rollout
+from .envs import Env, rollout
 from .errors import InvalidSpec, NumericalFault
 from .features import Featurizer, featurizer_for
 from .metrics import MetricsRecord, MetricsWriter
@@ -335,7 +335,7 @@ def evaluate(pol: PolicyParams, env: Env, n_episodes: int, seed: int) -> EvalSta
     goals = 0
 
     def act(state, _rng):
-        feats = featurizer.state_feats([state] if isinstance(env, TabularMDP) else state)
+        feats = featurizer.state_feats(state)
         return deterministic_action(pol, feats)
 
     for i in range(n_episodes):

@@ -160,3 +160,12 @@ def test_gen_data_env_spec_file(tmp_path):
     out = tmp_path / "d.dataset"
     assert cli(["gen-data", "--env", str(spec), "--episodes", "2", "--seed", "0", "--out", str(out)]) == 0
     assert load(out).horizon == 12
+
+
+def test_gen_data_bad_env_spec_exits_1(tmp_path, capsys):
+    spec = tmp_path / "env.cfg"
+    spec.write_text("kind = gridworld\nwidth = 3\nheight = 3\ngoal_cell = 8\nslip_prb = 0.1\n")
+    out = tmp_path / "d.dataset"
+    assert cli(["gen-data", "--env", str(spec), "--episodes", "2", "--seed", "0", "--out", str(out)]) == 1
+    assert "slip_prb" in capsys.readouterr().err
+    assert not out.exists()

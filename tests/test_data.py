@@ -107,6 +107,29 @@ class TestRoundTrip:
         with pytest.raises(FormatError):
             load(path)
 
+    @pytest.mark.parametrize(
+        "index, line",
+        [
+            (1, "env_id"),
+            (1, "env_id chain2 extra"),
+            (2, "gamma zz"),
+            (3, "horizon abc"),
+            (3, "horizon 10 10"),
+            (4, "rewards_available yes"),
+            (6, "space index 2 2 2"),
+            (7, "episodes -1"),
+            (7, "episodes 5"),
+        ],
+    )
+    def test_corrupt_header_rejected(self, chain_dataset, tmp_path, index, line):
+        path = tmp_path / "data.txt"
+        save(chain_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[index] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            load(path)
+
     @given(seed=st.integers(0, 10_000), n_eps=st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_random_datasets_round_trip(self, tmp_path_factory, seed, n_eps):

@@ -191,6 +191,10 @@ class TestGridworld:
         with pytest.raises(InvalidSpec):
             gridworld_from_ascii("S.\n..")
 
+    def test_ascii_slip_prob_checked(self):
+        with pytest.raises(InvalidSpec):
+            gridworld_from_ascii("S.G\n", slip_prob=1.0)
+
 
 class TestBehaviorPolicies:
     def test_uniform_random_frequencies(self, grid5, rng):
@@ -254,6 +258,39 @@ class TestEnvConfig:
         spec.write_text("width = 4\n")
         with pytest.raises(InvalidSpec):
             load_env_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("kind = gridworld\nwidth = 3\nheight = 3\ngoal_cell = 8\nslip_prb = 0.1\n", "slip_prb"),
+            ("kind = gridworld\nwidth = three\nheight = 3\ngoal_cell = 8\n", "width"),
+            ("kind = gridworld\nwidth = 3\nheight = 3\n", "goal_cell"),
+            ("kind = gridworld\nlayout_file = {layout}\nwidth = 3\n", "width"),
+            ("kind = gridworld\nlayout_file = {layout}\nslip_prob = high\n", "slip_prob"),
+            ("kind = chain\nn_state = 3\n", "n_state"),
+            ("kind = chain\nhorizon = 2.5\n", "horizon"),
+            ("kind = mountain_car\nfriction = 0.1\n", "friction"),
+            ("kind = mountain_car\ngamma = high\n", "gamma"),
+        ],
+        ids=[
+            "gridworld-unknown",
+            "gridworld-bad-value",
+            "gridworld-missing",
+            "ascii-unknown",
+            "ascii-bad-value",
+            "chain-unknown",
+            "chain-bad-value",
+            "mountain_car-unknown",
+            "mountain_car-bad-value",
+        ],
+    )
+    def test_bad_spec_names_key(self, tmp_path, spec, key):
+        layout = tmp_path / "grid.txt"
+        layout.write_text("S..\n..G\n")
+        path = tmp_path / "env.cfg"
+        path.write_text(spec.format(layout=layout))
+        with pytest.raises(InvalidSpec, match=f"'{key}'"):
+            load_env_spec(path)
 
     def test_start_states_tabular(self, grid5, rng):
         starts = {initial_state(grid5, rng) for _ in range(500)}

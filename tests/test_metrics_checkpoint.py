@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -128,5 +130,14 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[data.index(text.encode())] = 0xFF
         path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_overflowing_shape_rejected(self, tmp_path):
+        # 2**62 * 4 elements wrap around to 0 in int64 arithmetic
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros((5, 4))}, {})
+        data = path.read_bytes()
+        path.write_bytes(data.replace(struct.pack("<Q", 5), struct.pack("<Q", 2**62), 1))
         with pytest.raises(FormatError):
             load_checkpoint(path)

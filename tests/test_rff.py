@@ -5,6 +5,7 @@ from occq import critic as critic_mod
 from occq.critic import encode_anchor, encode_future, init_critic
 from occq.errors import AccumulatorUninitialized, InvalidSpec, RewardRequired, ShapeError
 from occq.oracle import spearman
+from occq.policy import init_policy, kl_boltzmann_loss
 from occq.rff import (
     init_rff,
     make_direct_q_fn,
@@ -276,6 +277,27 @@ class TestQFnMatchesQValue:
         q, _ = make_rff_q_fn(critic, rff, 0.9)(states, actions)
         sa = np.concatenate([states, actions], axis=1)
         assert np.array_equal(q, q_value_rff(critic, rff, sa, 0.9))
+
+    @pytest.mark.parametrize("path", ["direct", "rff"])
+    def test_values_skip_only_the_gradient(self, rng, path):
+        # discrete decoding scores actions through q_fn.values; the
+        # gradient-free entry point must give the same bits as the full call
+        critic = init_critic(rng, 4, 3, (6,), 4)
+        futures = rng.standard_normal((9, 4))
+        if path == "direct":
+            q_fn = make_direct_q_fn(critic, futures, rng.standard_normal(9), 0.9)
+        else:
+            rff = init_rff(rng, 32, 4, 0.5)
+            f_emb, _, _ = encode_future(critic, futures, target=True)
+            rff = update_reward_features(rff, rff_features(rff, f_emb), rng.standard_normal(9))
+            q_fn = make_rff_q_fn(critic, rff, 0.9)
+        states, actions = rng.standard_normal((12, 4)), np.tile(np.eye(3), (4, 1))
+        assert np.array_equal(q_fn.values(states, actions), q_fn(states, actions)[0])
+        policy = init_policy(rng, 4, 3, (8,), discrete=True)
+        with_values = kl_boltzmann_loss(policy, q_fn, states[::3], 0.5, 1, rng)
+        without = kl_boltzmann_loss(policy, lambda s, a: q_fn(s, a), states[::3], 0.5, 1, rng)
+        assert with_values[0] == without[0]
+        assert all(np.array_equal(a, b) for a, b in zip(with_values[1].weights, without[1].weights))
 
 
 def test_q_weighted_validates():
