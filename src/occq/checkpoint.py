@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, VersionError
+from .fileio import replacing
 
 _MAGIC = b"OCCQCKPT"
 _VERSION = 1
@@ -21,8 +22,9 @@ _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str]):
-    """Write arrays and metadata; keys are sorted for a canonical layout."""
-    with open(path, "wb") as fh:
+    """Write arrays and metadata; keys are sorted for a canonical layout.
+    The file appears under ``path`` only once it is complete."""
+    with replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(meta)))

@@ -149,29 +149,35 @@ def _softmax_lse(logits: np.ndarray):
     return e / s, np.log(s[:, 0]) + m[:, 0]
 
 
+def _loss_terms(logits: np.ndarray):
+    """InfoNCE loss, partition value and their logit gradients from one
+    softmax: (infonce_loss, partition_reg, infonce_grad, partition_reg_grad)."""
+    p, lse = _softmax_lse(logits)
+    k = p.shape[0]
+    loss = float(np.mean(lse - np.diag(logits)))
+    reg = float(np.mean(lse**2))
+    d_reg = (2.0 / k) * lse[:, None] * p
+    p[np.arange(k), np.arange(k)] -= 1.0
+    return loss, reg, p / k, d_reg
+
+
 def infonce_loss(logits: np.ndarray) -> float:
     """Mean over rows of -log softmax(row)[diagonal]."""
-    _, lse = _softmax_lse(logits)
-    return float(np.mean(lse - np.diag(logits)))
+    return _loss_terms(logits)[0]
 
 
 def infonce_grad(logits: np.ndarray) -> np.ndarray:
     """d infonce_loss / d logits."""
-    p, _ = _softmax_lse(logits)
-    k = p.shape[0]
-    p[np.arange(k), np.arange(k)] -= 1.0
-    return p / k
+    return _loss_terms(logits)[2]
 
 
 def partition_reg(logits: np.ndarray) -> float:
     """Mean over rows of (log sum_j exp(logit_ij))^2."""
-    _, lse = _softmax_lse(logits)
-    return float(np.mean(lse**2))
+    return _loss_terms(logits)[1]
 
 
 def partition_reg_grad(logits: np.ndarray) -> np.ndarray:
-    p, lse = _softmax_lse(logits)
-    return (2.0 / p.shape[0]) * lse[:, None] * p
+    return _loss_terms(logits)[3]
 
 
 def ema_update(target: MLPParams, source: MLPParams, beta: float) -> MLPParams:
@@ -200,11 +206,9 @@ def critic_update(
     logits, (a_emb, a_raw, a_cache), (p_emb, p_raw, p_cache) = _contrastive_logits(
         critic, anchor_feats, positive_feats, target=False
     )
-    loss = infonce_loss(logits)
-    reg = partition_reg(logits)
-    dlogits = infonce_grad(logits)
+    loss, reg, dlogits, d_reg = _loss_terms(logits)
     if config.lambda_partition > 0:
-        dlogits = dlogits + config.lambda_partition * partition_reg_grad(logits)
+        dlogits = dlogits + config.lambda_partition * d_reg
 
     temp = critic.temperature
     a_grads, _ = embedding_backward(critic, critic.sa_encoder, a_raw, a_cache, (dlogits @ p_emb) / temp)

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .envs import Env, SpaceInfo, Trajectory, rollout
 from .errors import FormatError, InvalidSpec, RewardRequired, VersionError
+from .fileio import replacing
 from .truncgeom import sample_supports
 
 _MAGIC = "occq-dataset"
@@ -76,6 +78,12 @@ class OfflineDataset:
     @property
     def n_episodes(self) -> int:
         return len(self.episodes)
+
+    @cached_property
+    def _usable_episodes(self) -> list[int]:
+        """Indices of the episodes with at least two states, found at the
+        first draw; the episode list must not change after that."""
+        return [i for i, ep in enumerate(self.episodes) if ep.length >= 2]
 
 
 @dataclass(eq=False)
@@ -152,7 +160,7 @@ def sample_batch(
     if not 0.0 <= gamma < 1.0:
         raise InvalidSpec("gamma must lie in [0, 1)")
 
-    usable = [i for i, ep in enumerate(dataset.episodes) if ep.length >= 2]
+    usable = dataset._usable_episodes
     if not usable:
         raise InvalidSpec("no episode has at least two states")
 
@@ -294,8 +302,8 @@ def save(dataset: OfflineDataset, path):
             out.extend(_hex(v) for v in ep.rewards)
         out.append(str(int(ep.terminal)))
         buf.write(" ".join(out) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    with replacing(path) as fh:
+        fh.write(buf.getvalue().encode("utf-8"))
 
 
 def _read_space(reader: _TokenReader) -> SpaceInfo:

@@ -1,0 +1,27 @@
+"""Crash-safe file writes."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def replacing(path):
+    """Binary file handle for new contents of ``path``.
+
+    The data goes to a temporary file in the same directory, which
+    ``os.replace`` moves to ``path`` only once the block has finished, so an
+    interrupted write leaves the old file (or none) under the final name,
+    never a torn one.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

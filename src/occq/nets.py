@@ -9,6 +9,7 @@ differences in the test suite, which keeps training fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,22 +127,30 @@ def forward(params: MLPParams, x: np.ndarray):
     layers = []
     h = x
     for i in range(params.n_hidden):
-        z = h @ params.weights[i].T + params.biases[i]
+        # z = h W^T + b, z_hat = (z - mean) * inv_std, n = scale * z_hat + shift and
+        # a = relu(n), each updated in place: fewer fresh temporaries, same bits.
+        z = h @ params.weights[i].T
+        z += params.biases[i]
         if params.layernorm:
             # np.mean / np.var arithmetic (same bits) without their call overhead
-            centered = z - np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
-            var = np.add.reduce(centered * centered, axis=1, keepdims=True) / z.shape[1]
+            z -= np.add.reduce(z, axis=1, keepdims=True) / z.shape[1]
+            n = z * z
+            var = np.add.reduce(n, axis=1, keepdims=True) / z.shape[1]
             inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-            z_hat = centered * inv_std
-            n = params.ln_scales[i] * z_hat + params.ln_shifts[i]
+            z *= inv_std
+            z_hat = z
+            np.multiply(params.ln_scales[i], z_hat, out=n)
+            n += params.ln_shifts[i]
         else:
             z_hat, inv_std = None, None
             n = z
-        a = np.maximum(n, 0.0)
+        relu_mask = n > 0.0
+        a = np.maximum(n, 0.0, out=n)
         nxt = np.concatenate([h, a], axis=1) if params.densenet else a
-        layers.append({"x": h, "relu_mask": n > 0.0, "z_hat": z_hat, "inv_std": inv_std})
+        layers.append({"x": h, "relu_mask": relu_mask, "z_hat": z_hat, "inv_std": inv_std})
         h = nxt
-    y = h @ params.weights[-1].T + params.biases[-1]
+    y = h @ params.weights[-1].T
+    y += params.biases[-1]
     if not np.all(np.isfinite(y)):
         raise NumericalFault("non-finite activation in forward pass")
     cache = {"layers": layers, "last": h, "single": single, "batch": x.shape[0]}
@@ -231,28 +240,55 @@ def with_param_list(params: MLPParams, arrays: list[np.ndarray]) -> MLPParams:
 
 @dataclass(eq=False)
 class AdamState:
-    """Adam moments for a fixed list of parameter arrays."""
+    """Adam moments for a fixed list of parameter arrays.
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    Each moment is one flat buffer over all arrays, in list order, so a step
+    runs a few whole-buffer ufuncs instead of a loop over the arrays;
+    ``first_moment`` and ``second_moment`` give per-array views of them.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
     step_count: int
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
 
+    @property
+    def first_moment(self) -> list[np.ndarray]:
+        return _split(self.m, self.shapes)
+
+    @property
+    def second_moment(self) -> list[np.ndarray]:
+        return _split(self.v, self.shapes)
+
+
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of ``flat`` with the given shapes, laid end to end."""
+    out, pos = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[pos : pos + n].reshape(shape))
+        pos += n
+    return out
+
 
 def init_adam(arrays: list[np.ndarray], learning_rate: float) -> AdamState:
+    total = sum(a.size for a in arrays)
     return AdamState(
-        first_moment=[np.zeros_like(a) for a in arrays],
-        second_moment=[np.zeros_like(a) for a in arrays],
+        m=np.zeros(total),
+        v=np.zeros(total),
+        shapes=tuple(a.shape for a in arrays),
         step_count=0,
         learning_rate=learning_rate,
     )
 
 
 def global_grad_norm(grads: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    # np.sum arithmetic (same bits), one array at a time, without its call overhead
+    return float(np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads)))
 
 
 def adam_step(
@@ -265,26 +301,43 @@ def adam_step(
 
     Returns (new_state, new_arrays, pre_clip_grad_norm).  Raises
     NumericalFault on non-finite gradients without touching the parameters.
+    No argument is modified.
     """
-    if len(arrays) != len(grads) or any(a.shape != g.shape for a, g in zip(arrays, grads)):
+    shapes = tuple(a.shape for a in arrays)
+    if shapes != tuple(g.shape for g in grads):
         raise ShapeError("gradient shapes do not match parameters")
+    if shapes != state.shapes:
+        raise ShapeError("parameter shapes do not match the optimizer state")
     norm = global_grad_norm(grads)
     if not np.isfinite(norm):
         raise NumericalFault("non-finite gradient; update skipped")
-    if max_grad_norm > 0 and norm > max_grad_norm:
-        grads = [g * (max_grad_norm / norm) for g in grads]
     t = state.step_count + 1
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    new_m, new_v, new_p = [], [], []
-    for p, g, m, v in zip(arrays, grads, state.first_moment, state.second_moment):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon))
-    new_state = replace(state, first_moment=new_m, second_moment=new_v, step_count=t)
-    return new_state, new_p, norm
+    # Four whole-buffer updates, each in the operation order of its formula:
+    #   g <- g * (max_grad_norm / norm)                 (clipping)
+    #   m <- beta1 * m + (1 - beta1) * g
+    #   v <- beta2 * v + (1 - beta2) * g * g
+    #   p <- p - lr * (m / c1) / (sqrt(v / c2) + eps)
+    # computed in place in two scratch buffers (g and step) to keep temporaries few.
+    g = np.concatenate([x.reshape(-1) for x in grads])
+    if max_grad_norm > 0 and norm > max_grad_norm:
+        g *= max_grad_norm / norm
+    m = state.beta1 * state.m
+    step = np.multiply(1.0 - state.beta1, g)
+    m += step
+    v = state.beta2 * state.v
+    np.multiply(1.0 - state.beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(m, c1, out=step)
+    step *= state.learning_rate
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += state.epsilon
+    step /= g
+    new_p = [p - s for p, s in zip(arrays, _split(step, state.shapes))]
+    return replace(state, m=m, v=v, step_count=t), new_p, norm
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -145,18 +145,22 @@ def kl_boltzmann_loss(
     tau: float,
     n_a: int,
     rng: np.random.Generator,
+    *,
+    forward=None,
 ):
     """KL(policy || softmax(Q / tau)) up to the policy-independent constant.
 
     Discrete actions are enumerated exactly; continuous actions use ``n_a``
     reparameterized samples per state, so the gradient includes the dQ/da
-    path.  Returns (loss, MLPGrads, info).
+    path.  ``forward``, if given, is the ``nets.forward`` result of the
+    policy net on ``state_feats``, so a caller can share it between losses.
+    Returns (loss, MLPGrads, info).
     """
     if tau <= 0:
         raise InvalidSpec("tau must be positive")
     state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
-    out, cache = nets.forward(policy.net, state_feats)
+    out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
 
     if policy.discrete:
         na = policy.action_dim
@@ -208,16 +212,19 @@ def bc_loss(
     entropy_coeff: float,
     rng: np.random.Generator | None = None,
     n_a: int = 10,
+    *,
+    forward=None,
 ):
     """Negative data log-likelihood minus an entropy bonus.
 
     The entropy of a continuous policy is estimated from ``n_a`` fresh
     samples per state (requires ``rng`` when entropy_coeff > 0); discrete
-    entropy is exact.  Returns (loss, MLPGrads, info).
+    entropy is exact.  ``forward`` is as in ``kl_boltzmann_loss``.
+    Returns (loss, MLPGrads, info).
     """
     state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
-    out, cache = nets.forward(policy.net, state_feats)
+    out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
 
     if policy.discrete:
         idx = np.asarray(actions, dtype=np.int64).reshape(-1)
@@ -276,8 +283,17 @@ def policy_update(
     rng: np.random.Generator,
 ):
     """One Adam step on KL-to-Boltzmann plus the weighted BC loss."""
+    state_feats = np.atleast_2d(state_feats)
+    # Both losses read the same policy output; ``nets.backward`` leaves the cache intact.
+    fwd = nets.forward(policy.net, state_feats)
     kl, kl_grads, info = kl_boltzmann_loss(
-        policy, q_fn, state_feats, tau=config.tau_boltzmann, n_a=config.n_action_samples, rng=rng
+        policy,
+        q_fn,
+        state_feats,
+        tau=config.tau_boltzmann,
+        n_a=config.n_action_samples,
+        rng=rng,
+        forward=fwd,
     )
     metrics = {"policy_kl_loss": kl, "mean_q": info["mean_q"], "bc_loss": 0.0}
     glist = nets.grad_list(policy.net, kl_grads)
@@ -289,6 +305,7 @@ def policy_update(
             entropy_coeff=config.entropy_coeff,
             rng=rng,
             n_a=config.n_action_samples,
+            forward=fwd,
         )
         metrics["bc_loss"] = bc
         glist = [k + config.lambda_bc * b for k, b in zip(glist, nets.grad_list(policy.net, bc_grads))]

@@ -204,18 +204,23 @@ def train(
         for epoch in range(config.epochs):
             for _ in range(config.steps_per_epoch):
                 step += 1
+                # The step works on locals and commits them only when both phases succeed,
+                # so a fault leaves every model and optimizer state as it was.
                 try:
-                    critic, adam_c, cm, batch, positive_feats = _critic_step(
+                    new_critic, new_adam_c, cm, batch, positive_feats = _critic_step(
                         config, dataset, featurizer, rng_data, critic, adam_c, include_rewards=True
                     )
+                    new_rff = rff_state
                     if config.use_rff:
-                        target_emb, _, _ = encode_future(critic, positive_feats, target=True)
-                        rff_state = update_reward_features(
+                        target_emb, _, _ = encode_future(new_critic, positive_feats, target=True)
+                        new_rff = update_reward_features(
                             rff_state, rff_features(rff_state, target_emb), batch.future_rewards
                         )
-                        q_fn = make_rff_q_fn(critic, rff_state, config.gamma)
+                        q_fn = make_rff_q_fn(new_critic, new_rff, config.gamma)
                     else:
-                        q_fn = make_direct_q_fn(critic, positive_feats, batch.future_rewards, config.gamma)
+                        q_fn = make_direct_q_fn(
+                            new_critic, positive_feats, batch.future_rewards, config.gamma
+                        )
 
                     states = batch.anchor_states
                     actions = batch.anchor_actions
@@ -224,10 +229,12 @@ def train(
                         states = states[pick]
                         actions = actions[pick]
                     rows_before = future_encode_rows()
-                    pol, adam_p, pm = policy_update(
+                    new_pol, new_adam_p, pm = policy_update(
                         pol, featurizer.state_feats(states), actions, q_fn, config, adam_p, rng_actions
                     )
                     policy_phase_rows += future_encode_rows() - rows_before
+                    critic, adam_c, rff_state = new_critic, new_adam_c, new_rff
+                    pol, adam_p = new_pol, new_adam_p
                     record = MetricsRecord(step=step, epoch=epoch, **cm, **pm, wall_time=time.monotonic() - start)
                 except NumericalFault:
                     fault_count += 1

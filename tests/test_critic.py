@@ -7,6 +7,7 @@ from occq.critic import (
     critic_logits,
     critic_update,
     ema_update,
+    embedding_backward,
     encode_anchor,
     encode_future,
     infonce_grad,
@@ -88,6 +89,26 @@ class TestInfoNCE:
         assert max_rel_error([infonce_grad(logits)], fd) <= 1e-4
 
 
+def test_loss_terms_match_separate_softmaxes(rng):
+    # Reference: each term from its own row-wise softmax, as the terms were first written.
+    logits = 3.0 * rng.standard_normal((7, 7))
+    k = logits.shape[0]
+
+    def softmax_lse(x):
+        m = x.max(axis=1, keepdims=True)
+        e = np.exp(x - m)
+        s = e.sum(axis=1, keepdims=True)
+        return e / s, np.log(s[:, 0]) + m[:, 0]
+
+    p, lse = softmax_lse(logits)
+    assert infonce_loss(logits) == float(np.mean(lse - np.diag(logits)))
+    assert partition_reg(logits) == float(np.mean(lse**2))
+    assert np.array_equal(partition_reg_grad(logits), (2.0 / k) * lse[:, None] * p)
+    p, _ = softmax_lse(logits)
+    p[np.arange(k), np.arange(k)] -= 1.0
+    assert np.array_equal(infonce_grad(logits), p / k)
+
+
 class TestPartitionReg:
     def test_designed_zero(self):
         logits = np.full((4, 4), -np.log(4.0))
@@ -162,6 +183,41 @@ class TestCriticUpdate:
             highs = [np.maximum(hi, w) for hi, w in zip(highs, critic.future_encoder.weights)]
             for t, lo, hi in zip(critic.future_encoder_target.weights, lows, highs):
                 assert np.all(t >= lo - 1e-12) and np.all(t <= hi + 1e-12)
+
+    @pytest.mark.parametrize("lambda_partition", [0.0, 0.1])
+    def test_matches_the_four_loss_functions(self, rng, lambda_partition):
+        # One softmax inside critic_update: the same bits as composing the four public terms.
+        critic = init_critic(rng, 5, 3, (8, 8), 4, temperature=0.7)
+        anchors = rng.standard_normal((6, 8))
+        positives = rng.standard_normal((6, 5))
+        config = self._config(lambda_partition=lambda_partition)
+        adam = nets.init_adam(
+            nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder), 1e-2
+        )
+        got, got_adam, metrics = critic_update(critic, anchors, positives, config, adam)
+
+        logits = critic_logits(critic, anchors, positives)
+        dlogits = infonce_grad(logits)
+        if lambda_partition > 0:
+            dlogits = dlogits + lambda_partition * partition_reg_grad(logits)
+        a_emb, a_raw, a_cache = encode_anchor(critic, anchors)
+        p_emb, p_raw, p_cache = encode_future(critic, positives)
+        a_grads, _ = embedding_backward(
+            critic, critic.sa_encoder, a_raw, a_cache, (dlogits @ p_emb) / 0.7
+        )
+        p_grads, _ = embedding_backward(
+            critic, critic.future_encoder, p_raw, p_cache, (dlogits.T @ a_emb) / 0.7
+        )
+        grads = nets.grad_list(critic.sa_encoder, a_grads) + nets.grad_list(critic.future_encoder, p_grads)
+        arrays = nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder)
+        want_adam, want_arrays, want_norm = nets.adam_step(adam, arrays, grads)
+
+        assert metrics["critic_loss"] == infonce_loss(logits)
+        assert metrics["partition_reg"] == partition_reg(logits)
+        assert metrics["critic_grad_norm"] == want_norm
+        assert np.array_equal(got_adam.m, want_adam.m) and np.array_equal(got_adam.v, want_adam.v)
+        got_arrays = nets.param_list(got.sa_encoder) + nets.param_list(got.future_encoder)
+        assert all(np.array_equal(a, b) for a, b in zip(got_arrays, want_arrays))
 
     def test_infonce_near_log_k_at_init(self, rng):
         critic = init_critic(rng, 25, 4, (64, 64), 16)

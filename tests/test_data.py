@@ -15,6 +15,7 @@ from occq.data import (
 )
 from occq.envs import MountainCarEnv, Trajectory, behavior_policy, make_chain
 from occq.errors import FormatError, InvalidSpec, RewardRequired, VersionError
+from occq.truncgeom import sample_supports
 
 
 @pytest.fixture
@@ -241,6 +242,52 @@ class TestSampleBatch:
             batch = sample_batch(ds, 0.9, rng)
             assert batch.batch_size > 0
         assert ds.skipped_episodes > before
+
+    @pytest.mark.parametrize("n_short", [2, 4])  # 4 of 5 short: no second episode to draw
+    def test_matches_per_call_episode_scan(self, chain, n_short):
+        def dataset():
+            ds = generate_dataset(chain, lambda s, r: 0, n_episodes=5, seed=3)
+            for i in range(n_short):
+                ep = ds.episodes[i]
+                ds.episodes[i] = Trajectory(
+                    states=ep.states[:1], actions=ep.actions[:0], rewards=ep.rewards[:0]
+                )
+            return ds
+
+        def reference_batch(ds, gamma, rng):
+            # Rebuilds the usable list on every call.
+            usable = [i for i, ep in enumerate(ds.episodes) if ep.length >= 2]
+
+            def draw(exclude):
+                if usable == [exclude]:
+                    return None
+                while True:
+                    i = int(rng.integers(len(ds.episodes)))
+                    if ds.episodes[i].length < 2:
+                        ds.skipped_episodes += 1
+                    elif i != exclude:
+                        return i
+
+            first = draw(None)
+            second = draw(first)
+            parts = []
+            for i in [first] if second is None else [first, second]:
+                ep = ds.episodes[i]
+                t = np.arange(ep.n_steps)
+                offsets = sample_supports(1.0 - gamma, (ep.length - 1) - t, rng)
+                future = t + offsets
+                parts.append((ep.states[:-1], ep.actions, ep.states[future], offsets, ep.rewards[future - 1]))
+            return [np.concatenate(field) for field in zip(*parts)]
+
+        got_ds, want_ds = dataset(), dataset()
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            b = sample_batch(got_ds, 0.8, got_rng)
+            got = [b.anchor_states, b.anchor_actions, b.positives, b.offsets, b.future_rewards]
+            for g, w in zip(got, reference_batch(want_ds, 0.8, want_rng)):
+                assert np.array_equal(g, w)
+            assert got_ds.skipped_episodes == want_ds.skipped_episodes
+        assert got_ds.skipped_episodes > 0
 
     def test_reward_reads_counted(self, chain_dataset, rng):
         before = chain_dataset.reward_reads

@@ -64,6 +64,28 @@ class TestForward:
             y, _ = forward(params, x)
             assert np.max(np.abs(y - reference_forward(params, x))) <= 1e-12
 
+    @pytest.mark.parametrize("densenet", [True, False])
+    @pytest.mark.parametrize("layernorm", [True, False])
+    def test_same_bits_as_out_of_place_formulas(self, rng, densenet, layernorm):
+        params = init_mlp(rng, 5, (7, 6), 3, densenet=densenet, layernorm=layernorm)
+        params.ln_scales = [rng.uniform(0.5, 1.5, s.shape) for s in params.ln_scales]
+        params.ln_shifts = [rng.uniform(-0.5, 0.5, s.shape) for s in params.ln_shifts]
+        x = rng.standard_normal((40, 5))
+        y, cache = forward(params, x)
+        h = x
+        for i, layer in enumerate(cache["layers"]):
+            z = h @ params.weights[i].T + params.biases[i]
+            n = z
+            if layernorm:
+                inv_std = 1.0 / np.sqrt(np.var(z, axis=1, keepdims=True) + 1e-5)
+                z_hat = (z - np.mean(z, axis=1, keepdims=True)) * inv_std
+                n = params.ln_scales[i] * z_hat + params.ln_shifts[i]
+                assert np.array_equal(layer["z_hat"], z_hat) and np.array_equal(layer["inv_std"], inv_std)
+            assert np.array_equal(layer["x"], h) and np.array_equal(layer["relu_mask"], n > 0.0)
+            a = np.maximum(n, 0.0)
+            h = np.concatenate([h, a], axis=1) if densenet else a
+        assert np.array_equal(y, h @ params.weights[-1].T + params.biases[-1])
+
     def test_batch_matches_single(self, rng):
         params = init_mlp(rng, 4, (6,), 3)
         xs = rng.standard_normal((7, 4))
@@ -175,6 +197,40 @@ class TestAdam:
         state = init_adam(arrays, learning_rate=1.0)
         with pytest.raises(NumericalFault):
             adam_step(state, arrays, [np.array([np.nan, 0.0])])
+
+    @pytest.mark.parametrize("grad_scale", [0.1, 1e3])  # below and above the clipping norm
+    def test_matches_per_array_loop(self, rng, grad_scale):
+        arrays = [rng.standard_normal(s) for s in [(4, 3), (4,), (2, 7), (1,), (5,)]]
+        state = init_adam(arrays, learning_rate=1e-2)
+        ref_p, ref_m, ref_v = arrays, [np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays]
+        b1, b2, eps, lr, max_norm = 0.9, 0.999, 1e-8, 1e-2, 100.0
+        for t in range(1, 6):
+            grads = [grad_scale * rng.standard_normal(a.shape) for a in arrays]
+            state, arrays, norm = adam_step(state, arrays, grads, max_grad_norm=max_norm)
+            ref_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+            if ref_norm > max_norm:
+                grads = [g * (max_norm / ref_norm) for g in grads]
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            ref_m = [b1 * m + (1.0 - b1) * g for m, g in zip(ref_m, grads)]
+            ref_v = [b2 * v + (1.0 - b2) * g * g for v, g in zip(ref_v, grads)]
+            ref_p = [p - lr * (m / c1) / (np.sqrt(v / c2) + eps) for p, m, v in zip(ref_p, ref_m, ref_v)]
+            assert norm == ref_norm
+            assert state.step_count == t
+            for got, want in zip(
+                arrays + state.first_moment + state.second_moment, ref_p + ref_m + ref_v
+            ):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_inputs_left_untouched(self, rng):
+        arrays = [rng.standard_normal((3, 2)), rng.standard_normal(3)]
+        state = init_adam(arrays, learning_rate=1e-2)
+        state, arrays, _ = adam_step(state, arrays, [rng.standard_normal(a.shape) for a in arrays])
+        grads = [1e3 * rng.standard_normal(a.shape) for a in arrays]  # clipped
+        before = [a.copy() for a in arrays + grads], state.m.copy(), state.v.copy()
+        adam_step(state, arrays, grads)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays + grads, before[0]))
+        assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+        assert state.step_count == 1
 
 
 class TestL2Normalize:

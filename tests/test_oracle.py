@@ -164,13 +164,14 @@ class TestExactRatio:
         gamma = grid5.gamma
         counts = np.zeros(grid5.n_states)
         cdf = np.cumsum(table, axis=1)
+        tcdf = np.cumsum(grid5.transition, axis=2)  # the same sums as a per-step cumsum of each row
         n_runs = 200_000
         offsets = rng.geometric(1.0 - gamma, size=n_runs)
         for dt in offsets:
-            s = int(np.argmax(np.cumsum(grid5.transition[anchor_s, anchor_a]) > rng.random()))
+            s = int(np.argmax(tcdf[anchor_s, anchor_a] > rng.random()))
             for _ in range(dt - 1):
                 a = int(np.searchsorted(cdf[s], rng.random()))
-                s = int(np.argmax(np.cumsum(grid5.transition[s, a]) > rng.random()))
+                s = int(np.argmax(tcdf[s, a] > rng.random()))
             counts[s] += 1
         empirical = counts / counts.sum()
         occ_row = rt.ratio[anchor_s, anchor_a] * rt.marginal

@@ -294,6 +294,41 @@ class TestPolicyUpdate:
         empirical = np.array([[8, 4, 3, 1], [1, 1, 4, 10]]) / 16.0
         assert 0.5 * np.abs(pure - empirical).sum(axis=1).max() <= 0.05
 
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_matches_separate_forward_passes(self, rng, discrete):
+        # policy_update runs the policy net once for both losses: the same bits as
+        # letting each loss run its own forward pass.
+        config = self._config(lambda_bc=0.5, entropy_coeff=0.1, tau_boltzmann=0.3)
+        policy = init_policy(rng, 3, 4 if discrete else 2, (12, 12), discrete=discrete)
+        states = rng.standard_normal((6, 3))
+        if discrete:
+            actions, q_fn = rng.integers(0, 4, 6), tabular_q([0.3, -1.0, 2.0, 0.5])
+        else:
+
+            def q_fn(s, a):
+                return (a * a).sum(axis=1) * s[:, 0], 2.0 * a * s[:, :1]
+
+            actions = np.tanh(rng.standard_normal((6, 2)))
+        adam = nets.init_adam(nets.param_list(policy.net), 0.05)
+        got, got_adam, metrics = policy_update(
+            policy, states, actions, q_fn, config, adam, np.random.default_rng(7)
+        )
+
+        ref_rng = np.random.default_rng(7)
+        kl, kl_grads, info = kl_boltzmann_loss(policy, q_fn, states, tau=0.3, n_a=8, rng=ref_rng)
+        bc, bc_grads, _ = bc_loss(policy, states, actions, entropy_coeff=0.1, rng=ref_rng, n_a=8)
+        glist = [
+            k + 0.5 * b
+            for k, b in zip(nets.grad_list(policy.net, kl_grads), nets.grad_list(policy.net, bc_grads))
+        ]
+        want_adam, want_arrays, want_norm = nets.adam_step(adam, nets.param_list(policy.net), glist)
+
+        assert metrics == {
+            "policy_kl_loss": kl, "mean_q": info["mean_q"], "bc_loss": bc, "policy_grad_norm": want_norm
+        }
+        assert np.array_equal(got_adam.m, want_adam.m) and np.array_equal(got_adam.v, want_adam.v)
+        assert all(np.array_equal(a, b) for a, b in zip(nets.param_list(got.net), want_arrays))
+
     def test_zero_bc_weight_reports_zero_term(self, rng):
         policy = init_policy(rng, 3, 2, (8,), discrete=True)
         config = self._config(lambda_bc=0.0)

@@ -125,6 +125,52 @@ class TestTrainLoop:
         assert result.metrics[2].fault
 
 
+    @pytest.mark.parametrize("phase", ["update_reward_features", "policy_update"])
+    def test_faulted_step_commits_nothing(self, grid_dataset, monkeypatch, phase):
+        # Step 3 faults after its critic update succeeded: every piece of model and
+        # optimizer state must come out of the step as it went in.
+        from occq import nets
+        from occq.errors import NumericalFault
+        import occq.training as train_mod
+
+        step = {"n": 0}
+        adam_in, adam_out = {}, {}
+
+        def spy(name, adam_arg):
+            real = getattr(train_mod, name)
+
+            def wrapped(*args, **kwargs):
+                if name == "critic_update":
+                    step["n"] += 1
+                adam_in[name, step["n"]] = args[adam_arg]
+                if name == phase and step["n"] == 3:
+                    raise NumericalFault("injected")
+                out = real(*args, **kwargs)
+                if name != "update_reward_features":
+                    adam_out[name, step["n"]] = out[1]
+                return out
+
+            monkeypatch.setattr(train_mod, name, wrapped)
+
+        spy("critic_update", 4)
+        spy("update_reward_features", 0)
+        spy("policy_update", 5)
+
+        def snapshot(step_no, critic, pol, rff):
+            nets_ = (critic.sa_encoder, critic.future_encoder, critic.future_encoder_target, pol.net)
+            arrays = [a for net in nets_ for a in nets.param_list(net)] + [rff.reward_features]
+            return (critic, pol, rff), [a.tobytes() for a in arrays]
+
+        result = train(tiny_config(use_rff=True), grid_dataset, probe=snapshot, probe_every=1)
+        assert result.fault_count == 1 and result.metrics[2].fault
+        (before, before_bytes), (after, after_bytes) = result.probe_log[1][1], result.probe_log[2][1]
+        assert all(a is b for a, b in zip(before, after)) and before_bytes == after_bytes
+        # the next step starts from step 2's optimizer states
+        assert adam_in["critic_update", 4] is adam_out["critic_update", 2]
+        assert adam_in["policy_update", 4] is adam_out["policy_update", 2]
+        assert adam_in["update_reward_features", 4] is before[2]
+
+
 class TestPretrainFinetune:
     def test_zero_reward_reads_in_phase_one(self, grid_dataset):
         unlabeled = strip_rewards(grid_dataset)
