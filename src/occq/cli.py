@@ -17,7 +17,7 @@ from . import data
 from .config import TrainConfig, config_from_kv, load_config
 from .envs import ENV_REGISTRY, MountainCarEnv, TabularMDP, behavior_policy, make_env
 from .errors import OccqError
-from .metrics import export_plot_data, load_metrics, numeric_fields
+from .metrics import export_plot_data, load_metrics
 from .training import evaluate, load_policy_checkpoint, pretrain_then_finetune, train
 
 
@@ -178,9 +178,6 @@ def _dispatch(args) -> int:
     if args.command == "export-plot":
         records, dropped = load_metrics(args.metrics)
         fields = [f.strip() for f in args.fields.split(",") if f.strip()]
-        unknown = [f for f in fields if f not in numeric_fields()]
-        if unknown:
-            raise OccqError(f"unknown metric fields: {', '.join(unknown)}")
         text = export_plot_data(records, fields, delimiter=args.delimiter)
         if args.out == "-":
             sys.stdout.write(text)

@@ -60,25 +60,14 @@ def init_critic(
     temperature: float = 1.0,
 ) -> CriticParams:
     future = nets.init_mlp(rng, state_dim, hidden, latent_dim, densenet=densenet, layernorm=layernorm)
-    target = _copy_mlp(future)
     return CriticParams(
         sa_encoder=nets.init_mlp(
             rng, state_dim + action_dim, hidden, latent_dim, densenet=densenet, layernorm=layernorm
         ),
         future_encoder=future,
-        future_encoder_target=target,
+        future_encoder_target=nets.map_params(np.copy, future),
         l2_normalize_outputs=l2_normalize_outputs,
         temperature=temperature,
-    )
-
-
-def _copy_mlp(params: MLPParams) -> MLPParams:
-    return replace(
-        params,
-        weights=[w.copy() for w in params.weights],
-        biases=[b.copy() for b in params.biases],
-        ln_scales=[s.copy() for s in params.ln_scales],
-        ln_shifts=[s.copy() for s in params.ln_shifts],
     )
 
 
@@ -113,7 +102,7 @@ def pair_logits(critic: CriticParams, anchor_feats: np.ndarray, future_feats: np
 
 def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb):
     """Push d loss / d embedding back through the output normalization and
-    ``net``; returns (MLPGrads, input_grad)."""
+    ``net``; returns (grads, input_grad) as ``nets.backward`` does."""
     d_raw = nets.l2_normalize_backward(raw, d_emb) if critic.l2_normalize_outputs else d_emb
     return nets.backward(net, cache, d_raw)
 
@@ -182,13 +171,7 @@ def partition_reg_grad(logits: np.ndarray) -> np.ndarray:
 
 def ema_update(target: MLPParams, source: MLPParams, beta: float) -> MLPParams:
     """target <- beta * source + (1 - beta) * target, elementwise."""
-    return replace(
-        target,
-        weights=[beta * s + (1.0 - beta) * t for s, t in zip(source.weights, target.weights)],
-        biases=[beta * s + (1.0 - beta) * t for s, t in zip(source.biases, target.biases)],
-        ln_scales=[beta * s + (1.0 - beta) * t for s, t in zip(source.ln_scales, target.ln_scales)],
-        ln_shifts=[beta * s + (1.0 - beta) * t for s, t in zip(source.ln_shifts, target.ln_shifts)],
-    )
+    return nets.map_params(lambda t, s: beta * s + (1.0 - beta) * t, target, source)
 
 
 def critic_update(
@@ -214,13 +197,9 @@ def critic_update(
     a_grads, _ = embedding_backward(critic, critic.sa_encoder, a_raw, a_cache, (dlogits @ p_emb) / temp)
     p_grads, _ = embedding_backward(critic, critic.future_encoder, p_raw, p_cache, (dlogits.T @ a_emb) / temp)
 
-    arrays = nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder)
-    grads = nets.grad_list(critic.sa_encoder, a_grads) + nets.grad_list(critic.future_encoder, p_grads)
-    adam, new_arrays, grad_norm = nets.adam_step(adam, arrays, grads, max_grad_norm=config.max_grad_norm)
-
-    n_sa = len(nets.param_list(critic.sa_encoder))
-    new_sa = nets.with_param_list(critic.sa_encoder, new_arrays[:n_sa])
-    new_future = nets.with_param_list(critic.future_encoder, new_arrays[n_sa:])
+    adam, (new_sa, new_future), grad_norm = nets.adam_update(
+        adam, [critic.sa_encoder, critic.future_encoder], [a_grads, p_grads], config.max_grad_norm
+    )
     new_target = ema_update(critic.future_encoder_target, new_future, config.ema_beta)
     new_critic = replace(
         critic, sa_encoder=new_sa, future_encoder=new_future, future_encoder_target=new_target

@@ -42,9 +42,7 @@ class MetricsRecord:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            if f.name in _INT_FIELDS:
-                parts.append(f"{f.name}={int(value)}")
-            elif f.name in _FLAG_FIELDS:
+            if f.name in _INT_FIELDS or f.name in _FLAG_FIELDS:
                 parts.append(f"{f.name}={int(value)}")
             else:
                 parts.append(f"{f.name}={float(value).hex()}")

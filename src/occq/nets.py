@@ -52,42 +52,40 @@ class MLPParams:
         return len(self.weights) - 1
 
 
+# MLPParams list fields and their checkpoint array names; the order is the
+# flat order of ``param_list``.
+_FIELDS = {"weights": "weight", "biases": "bias", "ln_scales": "ln_scale", "ln_shifts": "ln_shift"}
+
+
+def _trained(mlp: MLPParams) -> tuple[str, ...]:
+    """Fields the optimizer updates: the LayerNorm pairs only when LayerNorm is on."""
+    return tuple(_FIELDS) if mlp.layernorm else ("weights", "biases")
+
+
 def mlp_to_arrays(prefix: str, mlp: MLPParams) -> dict[str, np.ndarray]:
     """Checkpoint arrays of one MLP, named ``{prefix}/weight_{i}`` and so on."""
-    out = {}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out[f"{prefix}/weight_{i}"] = w
-        out[f"{prefix}/bias_{i}"] = b
-    for i, (s, h) in enumerate(zip(mlp.ln_scales, mlp.ln_shifts)):
-        out[f"{prefix}/ln_scale_{i}"] = s
-        out[f"{prefix}/ln_shift_{i}"] = h
-    return out
+    return {
+        f"{prefix}/{name}_{i}": a for field, name in _FIELDS.items() for i, a in enumerate(getattr(mlp, field))
+    }
 
 
 def mlp_from_arrays(arrays: dict[str, np.ndarray], prefix: str, densenet: bool, layernorm: bool) -> MLPParams:
     """Inverse of ``mlp_to_arrays``."""
-    weights, biases, scales, shifts = [], [], [], []
-    i = 0
-    while f"{prefix}/weight_{i}" in arrays:
-        weights.append(arrays[f"{prefix}/weight_{i}"])
-        biases.append(arrays[f"{prefix}/bias_{i}"])
-        i += 1
-    i = 0
-    while f"{prefix}/ln_scale_{i}" in arrays:
-        scales.append(arrays[f"{prefix}/ln_scale_{i}"])
-        shifts.append(arrays[f"{prefix}/ln_shift_{i}"])
-        i += 1
-    if not weights:
+    lists = {}
+    for field, name in _FIELDS.items():
+        lists[field] = []
+        while (key := f"{prefix}/{name}_{len(lists[field])}") in arrays:
+            lists[field].append(arrays[key])
+    n = len(lists["weights"])
+    if not n or [len(v) for v in lists.values()] != [n, n, n - 1, n - 1]:
         raise InvalidSpec(f"checkpoint is missing {prefix!r} arrays")
-    return MLPParams(weights, biases, scales, shifts, densenet=densenet, layernorm=layernorm)
+    return MLPParams(**lists, densenet=densenet, layernorm=layernorm)
 
 
-@dataclass(eq=False)
-class MLPGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    ln_scales: list[np.ndarray]
-    ln_shifts: list[np.ndarray]
+def map_params(fn, *mlps: MLPParams) -> MLPParams:
+    """The first MLP with every array replaced by ``fn`` of the matching
+    arrays of ``mlps``, entry by entry."""
+    return replace(mlps[0], **{f: [fn(*xs) for xs in zip(*(getattr(m, f) for m in mlps))] for f in _FIELDS})
 
 
 def init_mlp(
@@ -168,8 +166,8 @@ def _layernorm_backward(dn, z_hat, inv_std, scale):
 def backward(params: MLPParams, cache, output_grad: np.ndarray):
     """Exact gradients of the forward map.
 
-    Returns (MLPGrads, input_grad); ``output_grad`` must match the forward
-    call's output shape.
+    Returns (grads, input_grad), with ``grads`` an MLPParams laid out like
+    ``params``; ``output_grad`` must match the forward call's output shape.
     """
     dy = np.asarray(output_grad, dtype=np.float64)
     if cache["single"]:
@@ -198,44 +196,26 @@ def backward(params: MLPParams, cache, output_grad: np.ndarray):
         gls.append(g_scale)
         glh.append(g_shift)
         dh = dx_skip + dz @ params.weights[i]
-    grads = MLPGrads(
-        weights=list(reversed(gw)),
-        biases=list(reversed(gb)),
-        ln_scales=list(reversed(gls)),
-        ln_shifts=list(reversed(glh)),
-    )
+    grads = replace(params, weights=gw[::-1], biases=gb[::-1], ln_scales=gls[::-1], ln_shifts=glh[::-1])
     dx = dh[0] if cache["single"] else dh
     return grads, dx
 
 
 def param_list(params: MLPParams) -> list[np.ndarray]:
-    """Flat ordering of the parameter arrays (stable across calls)."""
-    out = list(params.weights) + list(params.biases)
-    if params.layernorm:
-        out += list(params.ln_scales) + list(params.ln_shifts)
-    return out
+    """Flat ordering of the trained arrays (stable across calls)."""
+    return [a for field in _trained(params) for a in getattr(params, field)]
 
 
-def grad_list(params: MLPParams, grads: MLPGrads) -> list[np.ndarray]:
-    out = list(grads.weights) + list(grads.biases)
-    if params.layernorm:
-        out += list(grads.ln_scales) + list(grads.ln_shifts)
-    return out
+def grad_list(params: MLPParams, grads: MLPParams) -> list[np.ndarray]:
+    """The gradient arrays in the order of ``param_list(params)``."""
+    return param_list(grads)
 
 
-def with_param_list(params: MLPParams, arrays: list[np.ndarray]) -> MLPParams:
-    """Rebuild an MLPParams from the flat array ordering of ``param_list``."""
-    n = len(params.weights)
-    weights = [a for a in arrays[:n]]
-    biases = [a for a in arrays[n : 2 * n]]
-    if params.layernorm:
-        k = params.n_hidden
-        scales = [a for a in arrays[2 * n : 2 * n + k]]
-        shifts = [a for a in arrays[2 * n + k : 2 * n + 2 * k]]
-    else:
-        scales = [a.copy() for a in params.ln_scales]
-        shifts = [a.copy() for a in params.ln_shifts]
-    return replace(params, weights=weights, biases=biases, ln_scales=scales, ln_shifts=shifts)
+def with_param_list(params: MLPParams, arrays) -> MLPParams:
+    """Rebuild an MLPParams from the flat array ordering of ``param_list``,
+    taking the arrays from the front of ``arrays``; untrained fields are kept."""
+    rest = iter(arrays)
+    return replace(params, **{f: [next(rest) for _ in getattr(params, f)] for f in _trained(params)})
 
 
 @dataclass(eq=False)
@@ -338,6 +318,16 @@ def adam_step(
     step /= g
     new_p = [p - s for p, s in zip(arrays, _split(step, state.shapes))]
     return replace(state, m=m, v=v, step_count=t), new_p, norm
+
+
+def adam_update(state: AdamState, mlps: list[MLPParams], grads: list[MLPParams], max_grad_norm: float):
+    """One ``adam_step`` over the trained arrays of ``mlps``, in order, with
+    ``grads`` laid out like them.  Returns (new_state, new_mlps, pre_clip_grad_norm)."""
+    arrays = [a for mlp in mlps for a in param_list(mlp)]
+    flat_grads = [g for gr in grads for g in param_list(gr)]
+    state, new_arrays, norm = adam_step(state, arrays, flat_grads, max_grad_norm=max_grad_norm)
+    rest = iter(new_arrays)  # each rebuild takes its own arrays off the front
+    return state, [with_param_list(mlp, rest) for mlp in mlps], norm
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -154,7 +154,7 @@ def kl_boltzmann_loss(
     reparameterized samples per state, so the gradient includes the dQ/da
     path.  ``forward``, if given, is the ``nets.forward`` result of the
     policy net on ``state_feats``, so a caller can share it between losses.
-    Returns (loss, MLPGrads, info).
+    Returns (loss, grads, info), ``grads`` as from ``nets.backward``.
     """
     if tau <= 0:
         raise InvalidSpec("tau must be positive")
@@ -220,7 +220,7 @@ def bc_loss(
     The entropy of a continuous policy is estimated from ``n_a`` fresh
     samples per state (requires ``rng`` when entropy_coeff > 0); discrete
     entropy is exact.  ``forward`` is as in ``kl_boltzmann_loss``.
-    Returns (loss, MLPGrads, info).
+    Returns (loss, grads, info), ``grads`` as from ``nets.backward``.
     """
     state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
@@ -296,7 +296,7 @@ def policy_update(
         forward=fwd,
     )
     metrics = {"policy_kl_loss": kl, "mean_q": info["mean_q"], "bc_loss": 0.0}
-    glist = nets.grad_list(policy.net, kl_grads)
+    grads = kl_grads
     if config.lambda_bc > 0:
         bc, bc_grads, _ = bc_loss(
             policy,
@@ -308,9 +308,7 @@ def policy_update(
             forward=fwd,
         )
         metrics["bc_loss"] = bc
-        glist = [k + config.lambda_bc * b for k, b in zip(glist, nets.grad_list(policy.net, bc_grads))]
-    arrays = nets.param_list(policy.net)
-    adam, new_arrays, grad_norm = nets.adam_step(adam, arrays, glist, max_grad_norm=config.max_grad_norm)
+        grads = nets.map_params(lambda k, b: k + config.lambda_bc * b, kl_grads, bc_grads)
+    adam, (net,), grad_norm = nets.adam_update(adam, [policy.net], [grads], config.max_grad_norm)
     metrics["policy_grad_norm"] = grad_norm
-    new_policy = replace(policy, net=nets.with_param_list(policy.net, new_arrays))
-    return new_policy, adam, metrics
+    return replace(policy, net=net), adam, metrics

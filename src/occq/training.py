@@ -23,7 +23,7 @@ import numpy as np
 from . import critic as critic_mod
 from . import nets, policy as policy_mod, rff as rff_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import TrainConfig, config_hash, config_to_kv
+from .config import TrainConfig, config_from_kv, config_hash, config_to_kv
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
 from .data import OfflineDataset, sample_batch
 from .envs import Env, rollout
@@ -128,8 +128,6 @@ def write_training_checkpoint(
 
 def load_policy_checkpoint(path):
     """Rebuild the policy (and its metadata) from a checkpoint file."""
-    from .config import config_from_kv
-
     arrays, meta = load_checkpoint(path)
     kv = dict(item.split("=", 1) for item in meta["config"].split(";") if item)
     config = config_from_kv(kv)
@@ -277,27 +275,6 @@ def train(
     )
 
 
-def pretrain_critic(
-    config: TrainConfig,
-    dataset: OfflineDataset,
-    steps: int,
-    state=None,
-):
-    """Critic-only training; works on reward-free data.
-
-    Returns the internal state tuple accepted by ``train`` so a finetune
-    phase can pick up the pretrained critic.
-    """
-    if state is None:
-        state = _init_models(config, dataset)
-    critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions = state
-    for _ in range(steps):
-        critic, adam_c, *_ = _critic_step(
-            config, dataset, featurizer, rng_data, critic, adam_c, include_rewards=False
-        )
-    return critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions
-
-
 def pretrain_then_finetune(
     config: TrainConfig,
     unlabeled_dataset: OfflineDataset,
@@ -312,15 +289,20 @@ def pretrain_then_finetune(
     labeled data, starting from the phase-1 critic and optimizer state."""
     if unlabeled_dataset.space != labeled_dataset.space:
         raise InvalidSpec("pretraining and finetuning datasets use different spaces")
-    state = _init_models(config, unlabeled_dataset)
-    state = pretrain_critic(config, unlabeled_dataset, pretrain_steps, state=state)
+    critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions = _init_models(
+        config, unlabeled_dataset
+    )
+    for _ in range(pretrain_steps):
+        critic, adam_c, *_ = _critic_step(
+            config, unlabeled_dataset, featurizer, rng_data, critic, adam_c, include_rewards=False
+        )
     return train(
         config,
         labeled_dataset,
         out_dir=out_dir,
         probe=probe,
         probe_every=probe_every,
-        _phase1_state=state,
+        _phase1_state=(critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions),
     )
 
 

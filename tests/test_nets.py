@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occq import nets
-from occq.errors import NumericalFault, ShapeError
+from occq.errors import InvalidSpec, NumericalFault, ShapeError
 from occq.nets import (
     AdamState,
     MLPParams,
@@ -265,3 +265,66 @@ class TestL2Normalize:
         fd = finite_difference(loss, [v.copy()])
         analytic = l2_normalize_backward(v, w)
         assert max_rel_error([analytic], fd) <= 1e-4
+
+
+class TestLayout:
+    FIELDS = ("weights", "biases", "ln_scales", "ln_shifts")
+
+    def assert_same_arrays(self, got, want):
+        for field in self.FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("densenet", [True, False])
+    @pytest.mark.parametrize("layernorm", [True, False])
+    def test_checkpoint_arrays_round_trip(self, rng, densenet, layernorm):
+        params = init_mlp(rng, 4, (6, 5), 3, densenet=densenet, layernorm=layernorm)
+        params.ln_scales = [rng.uniform(0.5, 1.5, s.shape) for s in params.ln_scales]
+        params.ln_shifts = [rng.uniform(-0.5, 0.5, s.shape) for s in params.ln_shifts]
+        arrays = nets.mlp_to_arrays("net", params)
+        assert len(arrays) == 3 + 3 + 2 + 2
+        back = nets.mlp_from_arrays(arrays, "net", densenet, layernorm)
+        assert (back.densenet, back.layernorm) == (densenet, layernorm)
+        self.assert_same_arrays(back, params)
+        with pytest.raises(InvalidSpec):
+            nets.mlp_from_arrays(arrays, "other", densenet, layernorm)
+        del arrays["net/bias_1"]
+        with pytest.raises(InvalidSpec):
+            nets.mlp_from_arrays(arrays, "net", densenet, layernorm)
+
+    @pytest.mark.parametrize("densenet", [True, False])
+    @pytest.mark.parametrize("layernorm", [True, False])
+    def test_grads_share_the_param_layout(self, rng, densenet, layernorm):
+        params = init_mlp(rng, 4, (6, 5), 3, densenet=densenet, layernorm=layernorm)
+        _, cache = forward(params, rng.standard_normal((2, 4)))
+        grads, _ = backward(params, cache, rng.standard_normal((2, 3)))
+        assert [g.shape for g in nets.param_list(grads)] == [p.shape for p in nets.param_list(params)]
+
+    @pytest.mark.parametrize("layernorm", [True, False])
+    def test_adam_update_matches_flat_step(self, rng, layernorm):
+        sa = init_mlp(rng, 5, (6, 4), 3, layernorm=layernorm)
+        future = init_mlp(rng, 3, (6, 4), 3, layernorm=layernorm)
+        mlps = [sa, future]
+        state = init_adam(nets.param_list(sa) + nets.param_list(future), learning_rate=1e-2)
+        for _ in range(4):
+            grads = []
+            for mlp in mlps:
+                _, cache = forward(mlp, rng.standard_normal((4, mlp.input_dim)))
+                grads.append(backward(mlp, cache, rng.standard_normal((4, 3)))[0])
+            # reference: one flat adam_step, split back by hand
+            arrays = nets.param_list(mlps[0]) + nets.param_list(mlps[1])
+            flat = nets.grad_list(mlps[0], grads[0]) + nets.grad_list(mlps[1], grads[1])
+            want_state, want_arrays, want_norm = adam_step(state, arrays, flat, max_grad_norm=1.0)
+            n_sa = len(nets.param_list(mlps[0]))
+            want = [
+                nets.with_param_list(mlps[0], want_arrays[:n_sa]),
+                nets.with_param_list(mlps[1], want_arrays[n_sa:]),
+            ]
+            state, mlps, norm = nets.adam_update(state, mlps, grads, 1.0)
+            assert norm == want_norm and state.step_count == want_state.step_count
+            assert np.array_equal(state.m, want_state.m) and np.array_equal(state.v, want_state.v)
+            for got, ref in zip(mlps, want):
+                self.assert_same_arrays(got, ref)
+        # untrained LayerNorm arrays stay as initialized
+        if not layernorm:
+            assert all(np.array_equal(s, np.ones_like(s)) for s in mlps[0].ln_scales)
