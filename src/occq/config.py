@@ -63,6 +63,8 @@ class TrainConfig:
             "ema_beta",
             "reward_feature_ema",
             "max_grad_norm",
+            "seed",
+            "policy_state_cap",
         ):
             if getattr(self, name) < 0:
                 raise InvalidSpec(f"{name} must be non-negative")
@@ -70,6 +72,8 @@ class TrainConfig:
             raise InvalidSpec("temperatures must be positive")
         if self.rff_dim < 1 or self.latent_dim < 1:
             raise InvalidSpec("feature dimensions must be positive")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise InvalidSpec("hidden_sizes entries must be positive")
         if self.n_action_samples < 1:
             raise InvalidSpec("need at least one action sample")
         if self.epochs < 0 or self.steps_per_epoch < 1:

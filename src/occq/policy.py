@@ -77,6 +77,22 @@ def _heads(policy: PolicyParams, out: np.ndarray):
     return mean, log_std, mask
 
 
+def _tanh_gaussian(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator, n: int):
+    """``n`` samples ``tanh(mean + std * eps)`` per row, shape (N, n, d); returns
+    (actions, log_probs with the tanh correction, eps, std)."""
+    std = np.exp(log_std)
+    eps = rng.standard_normal((mean.shape[0], n, mean.shape[1]))
+    u = mean[:, None, :] + std[:, None, :] * eps
+    log_probs = (-0.5 * eps**2 - log_std[:, None, :] - 0.5 * _LOG_2PI - _log1m_tanh2(u)).sum(axis=2)
+    return np.tanh(u), log_probs, eps, std
+
+
+def _reparam_grads(du: np.ndarray, std: np.ndarray, eps: np.ndarray, scale: float):
+    """(d mean, d log_std) of ``scale`` times a sum over samples, given its
+    derivative ``du`` in u = mean + std * eps; the -1 is d log_prob / d log_std."""
+    return scale * du.sum(axis=1), scale * (du * std[:, None, :] * eps - 1.0).sum(axis=1)
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -103,12 +119,7 @@ def sample_actions(policy: PolicyParams, state_feats: np.ndarray, rng: np.random
         log_probs = np.take_along_axis(logp, actions, axis=1)
         return actions, log_probs
     mean, log_std, _ = _heads(policy, out)
-    std = np.exp(log_std)
-    eps = rng.standard_normal((state_feats.shape[0], n, policy.action_dim))
-    u = mean[:, None, :] + std[:, None, :] * eps
-    actions = np.tanh(u)
-    log_probs = (-0.5 * eps**2 - log_std[:, None, :] - 0.5 * _LOG_2PI - _log1m_tanh2(u)).sum(axis=2)
-    return actions, log_probs
+    return _tanh_gaussian(mean, log_std, rng, n)[:2]
 
 
 def deterministic_action(policy: PolicyParams, state_feats: np.ndarray):
@@ -181,24 +192,15 @@ def kl_boltzmann_loss(
         return loss, grads, info
 
     mean, log_std, clip_mask = _heads(policy, out)
-    std = np.exp(log_std)
-    eps = rng.standard_normal((n, n_a, policy.action_dim))
-    u = mean[:, None, :] + std[:, None, :] * eps
-    a = np.tanh(u)
+    a, log_prob, eps, std = _tanh_gaussian(mean, log_std, rng, n_a)
     flat_states = np.repeat(state_feats, n_a, axis=0)
     q, dq_da = q_fn(flat_states, a.reshape(n * n_a, policy.action_dim))
     q = q.reshape(n, n_a)
     dq_da = dq_da.reshape(n, n_a, policy.action_dim)
-    log_prob = (-0.5 * eps**2 - log_std[:, None, :] - 0.5 * _LOG_2PI - _log1m_tanh2(u)).sum(axis=2)
     loss = float((log_prob - q / tau).mean())
-
-    scale = 1.0 / (n * n_a)
-    tanh_u = a
-    da_du = 1.0 - tanh_u**2
-    # d log_prob / d u = 2 tanh(u); d log_prob / d log_std has the extra -1.
-    du_term = 2.0 * tanh_u - dq_da * da_du / tau
-    d_mean = scale * du_term.sum(axis=1)
-    d_log_std = scale * (du_term * std[:, None, :] * eps - 1.0).sum(axis=1)
+    # d log_prob / d u = 2 tanh(u), and da/du = 1 - tanh(u)^2.
+    du = 2.0 * a - dq_da * (1.0 - a**2) / tau
+    d_mean, d_log_std = _reparam_grads(du, std, eps, 1.0 / (n * n_a))
     dout = np.concatenate([d_mean, d_log_std * clip_mask], axis=1)
     grads, _ = nets.backward(policy.net, cache, dout)
     info = {"mean_q": float(q.mean())}
@@ -258,15 +260,11 @@ def bc_loss(
     if entropy_coeff > 0:
         if rng is None:
             raise InvalidSpec("continuous entropy bonus needs an rng")
-        eps = rng.standard_normal((n, n_a, policy.action_dim))
-        u = mean[:, None, :] + std[:, None, :] * eps
-        samp_logp = (-0.5 * eps**2 - log_std[:, None, :] - 0.5 * _LOG_2PI - _log1m_tanh2(u)).sum(axis=2)
+        tanh_u, samp_logp, eps, _ = _tanh_gaussian(mean, log_std, rng, n_a)
         entropy = -float(samp_logp.mean())
         # loss += -coeff * H = coeff * mean(log prob of fresh samples)
-        scale = entropy_coeff / (n * n_a)
-        tanh_u = np.tanh(u)
-        d_mean = d_mean + scale * (2.0 * tanh_u).sum(axis=1)
-        d_log_std = d_log_std + scale * (2.0 * tanh_u * std[:, None, :] * eps - 1.0).sum(axis=1)
+        dh = _reparam_grads(2.0 * tanh_u, std, eps, entropy_coeff / (n * n_a))
+        d_mean, d_log_std = d_mean + dh[0], d_log_std + dh[1]
     loss = nll - entropy_coeff * entropy
     dout = np.concatenate([d_mean, d_log_std * clip_mask], axis=1)
     grads, _ = nets.backward(policy.net, cache, dout)

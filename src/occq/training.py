@@ -15,7 +15,7 @@ exactly the same draws either way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +50,27 @@ class TrainResult:
     probe_log: list | None = None
 
 
-def _init_models(config: TrainConfig, dataset: OfflineDataset):
-    ss = np.random.SeedSequence(config.seed)
-    seeds = ss.spawn(5)
-    rng_critic = np.random.default_rng(seeds[0])
-    rng_policy = np.random.default_rng(seeds[1])
-    rng_rff = np.random.default_rng(seeds[2])
-    rng_data = np.random.default_rng(seeds[3])
-    rng_actions = np.random.default_rng(seeds[4])
+@dataclass(frozen=True, eq=False)
+class RunState:
+    """What a run carries from one step to the next.  A step builds a new
+    ``RunState`` and the loop commits it with one assignment, so a faulted
+    step leaves the previous one in place.  The two generators are shared
+    by successive states: their draws are consumed even by a faulted step."""
 
+    critic: CriticParams
+    policy: PolicyParams
+    rff: RFFState | None
+    adam_critic: AdamState
+    adam_policy: AdamState
+    rng_data: np.random.Generator
+    rng_actions: np.random.Generator
+    featurizer: Featurizer
+
+
+def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
+    rng_critic, rng_policy, rng_rff, rng_data, rng_actions = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
+    )
     featurizer = featurizer_for(dataset.space)
     discrete = dataset.space.action_kind == "index"
     critic = critic_mod.init_critic(
@@ -85,23 +97,23 @@ def _init_models(config: TrainConfig, dataset: OfflineDataset):
     rff_state = None
     if config.use_rff:
         rff_state = rff_mod.init_rff(rng_rff, config.rff_dim, config.latent_dim, config.reward_feature_ema)
-    adam_c = nets.init_adam(
-        nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder), config.learning_rate
+    critic_params = nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder)
+    return RunState(
+        critic=critic,
+        policy=pol,
+        rff=rff_state,
+        adam_critic=nets.init_adam(critic_params, config.learning_rate),
+        adam_policy=nets.init_adam(nets.param_list(pol.net), config.learning_rate),
+        rng_data=rng_data,
+        rng_actions=rng_actions,
+        featurizer=featurizer,
     )
-    adam_p = nets.init_adam(nets.param_list(pol.net), config.learning_rate)
-    return critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions
 
 
 def write_training_checkpoint(
-    path,
-    config: TrainConfig,
-    dataset: OfflineDataset,
-    critic: CriticParams,
-    pol: PolicyParams,
-    rff_state: RFFState | None,
-    step: int,
-    epoch: int,
+    path, config: TrainConfig, dataset: OfflineDataset, state: RunState, step: int, epoch: int
 ):
+    critic, pol, rff_state = state.critic, state.policy, state.rff
     arrays = {
         **nets.mlp_to_arrays("critic/sa_encoder", critic.sa_encoder),
         **nets.mlp_to_arrays("critic/future_encoder", critic.future_encoder),
@@ -142,55 +154,62 @@ def load_policy_checkpoint(path):
     return pol, config, meta
 
 
-def _critic_step(config, dataset, featurizer, rng_data, critic, adam_c, include_rewards: bool):
+def _critic_step(config, dataset, state: RunState, include_rewards: bool):
     """Draw one contrastive batch and take one critic step on it.
 
-    Returns (critic, adam_c, critic metrics, batch, positive feature rows).
+    Returns (new state, critic metrics, batch, positive feature rows).
     """
-    batch = sample_batch(dataset, config.gamma, rng_data, include_rewards=include_rewards)
+    featurizer = state.featurizer
+    batch = sample_batch(dataset, config.gamma, state.rng_data, include_rewards=include_rewards)
     anchor_feats = np.concatenate(
         [featurizer.state_feats(batch.anchor_states), featurizer.action_feats(batch.anchor_actions)], axis=1
     )
     positive_feats = featurizer.state_feats(batch.positives)
-    critic, adam_c, metrics = critic_update(critic, anchor_feats, positive_feats, config, adam_c)
-    return critic, adam_c, metrics, batch, positive_feats
+    critic, adam_c, metrics = critic_update(
+        state.critic, anchor_feats, positive_feats, config, state.adam_critic
+    )
+    return replace(state, critic=critic, adam_critic=adam_c), metrics, batch, positive_feats
 
 
-def train(
-    config: TrainConfig,
-    dataset: OfflineDataset,
-    out_dir=None,
-    probe=None,
-    probe_every: int = 0,
-    _phase1_state=None,
-) -> TrainResult:
-    """Run the full interleaved critic/policy loop over the dataset.
+def _train_step(config, dataset, state: RunState):
+    """One full step: critic, reward-feature fold, policy.  Returns (new state,
+    metrics, future-encoder rows of the policy phase); raises ``NumericalFault``
+    without touching ``state``."""
+    state, cm, batch, positive_feats = _critic_step(config, dataset, state, include_rewards=True)
+    rff_state = state.rff
+    if config.use_rff:
+        target_emb, _, _ = encode_future(state.critic, positive_feats, target=True)
+        rff_state = update_reward_features(
+            rff_state, rff_features(rff_state, target_emb), batch.future_rewards
+        )
+        q_fn = make_rff_q_fn(state.critic, rff_state, config.gamma)
+    else:
+        q_fn = make_direct_q_fn(state.critic, positive_feats, batch.future_rewards, config.gamma)
 
-    ``probe``, if given, is called as ``probe(step, critic, policy, rff)``
-    every ``probe_every`` steps and its results collected in the result's
-    ``probe_log`` (instrumentation only; does not affect training).
-    """
+    states, actions = batch.anchor_states, batch.anchor_actions
+    if config.policy_state_cap and batch.batch_size > config.policy_state_cap:
+        pick = state.rng_actions.choice(batch.batch_size, size=config.policy_state_cap, replace=False)
+        states, actions = states[pick], actions[pick]
+    feats = state.featurizer.state_feats(states)
+    rows_before = future_encode_rows()
+    pol, adam_p, pm = policy_update(
+        state.policy, feats, actions, q_fn, config, state.adam_policy, state.rng_actions
+    )
+    rows = future_encode_rows() - rows_before
+    return replace(state, rff=rff_state, policy=pol, adam_policy=adam_p), {**cm, **pm}, rows
+
+
+def _run(config, dataset, state: RunState, out_dir, probe, probe_every) -> TrainResult:
     if not dataset.rewards_available:
         raise InvalidSpec("full training needs a reward-labeled dataset")
     if config.horizon and config.horizon != dataset.horizon:
-        raise InvalidSpec(
-            f"config horizon {config.horizon} does not match dataset horizon {dataset.horizon}"
-        )
-    if _phase1_state is None:
-        critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions = _init_models(
-            config, dataset
-        )
-    else:
-        critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions = _phase1_state
-
+        raise InvalidSpec(f"config horizon {config.horizon} does not match dataset horizon {dataset.horizon}")
     out_path = Path(out_dir) if out_dir is not None else None
     writer = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         writer = MetricsWriter(out_path / "metrics.log")
-        write_training_checkpoint(
-            out_path / "checkpoint_0000.ckpt", config, dataset, critic, pol, rff_state, step=0, epoch=0
-        )
+        write_training_checkpoint(out_path / "checkpoint_0000.ckpt", config, dataset, state, step=0, epoch=0)
 
     records: list[MetricsRecord] = []
     probe_log = []
@@ -202,77 +221,50 @@ def train(
         for epoch in range(config.epochs):
             for _ in range(config.steps_per_epoch):
                 step += 1
-                # The step works on locals and commits them only when both phases succeed,
-                # so a fault leaves every model and optimizer state as it was.
                 try:
-                    new_critic, new_adam_c, cm, batch, positive_feats = _critic_step(
-                        config, dataset, featurizer, rng_data, critic, adam_c, include_rewards=True
-                    )
-                    new_rff = rff_state
-                    if config.use_rff:
-                        target_emb, _, _ = encode_future(new_critic, positive_feats, target=True)
-                        new_rff = update_reward_features(
-                            rff_state, rff_features(rff_state, target_emb), batch.future_rewards
-                        )
-                        q_fn = make_rff_q_fn(new_critic, new_rff, config.gamma)
-                    else:
-                        q_fn = make_direct_q_fn(
-                            new_critic, positive_feats, batch.future_rewards, config.gamma
-                        )
-
-                    states = batch.anchor_states
-                    actions = batch.anchor_actions
-                    if config.policy_state_cap and batch.batch_size > config.policy_state_cap:
-                        pick = rng_actions.choice(batch.batch_size, size=config.policy_state_cap, replace=False)
-                        states = states[pick]
-                        actions = actions[pick]
-                    rows_before = future_encode_rows()
-                    new_pol, new_adam_p, pm = policy_update(
-                        pol, featurizer.state_feats(states), actions, q_fn, config, adam_p, rng_actions
-                    )
-                    policy_phase_rows += future_encode_rows() - rows_before
-                    critic, adam_c, rff_state = new_critic, new_adam_c, new_rff
-                    pol, adam_p = new_pol, new_adam_p
-                    record = MetricsRecord(step=step, epoch=epoch, **cm, **pm, wall_time=time.monotonic() - start)
+                    state, metrics, rows = _train_step(config, dataset, state)
+                    policy_phase_rows += rows
+                    wall_time = time.monotonic() - start
+                    record = MetricsRecord(step=step, epoch=epoch, **metrics, wall_time=wall_time)
                 except NumericalFault:
                     fault_count += 1
                     record = MetricsRecord(step=step, epoch=epoch, fault=True)
-                    if step >= 100 and fault_count > 0.01 * step:
-                        if writer is not None:
-                            writer.append(record)
-                        raise NumericalFault(
-                            f"aborting: {fault_count} numerical faults in {step} steps (>1%)"
-                        )
                 records.append(record)
                 if writer is not None:
                     writer.append(record)
+                if record.fault and step >= 100 and fault_count > 0.01 * step:
+                    raise NumericalFault(f"aborting: {fault_count} numerical faults in {step} steps (>1%)")
                 if probe is not None and probe_every and step % probe_every == 0:
-                    probe_log.append((step, probe(step, critic, pol, rff_state)))
+                    probe_log.append((step, probe(step, state.critic, state.policy, state.rff)))
             if out_path is not None:
-                write_training_checkpoint(
-                    out_path / f"checkpoint_{epoch + 1:04d}.ckpt",
-                    config,
-                    dataset,
-                    critic,
-                    pol,
-                    rff_state,
-                    step=step,
-                    epoch=epoch + 1,
-                )
+                ckpt = out_path / f"checkpoint_{epoch + 1:04d}.ckpt"
+                write_training_checkpoint(ckpt, config, dataset, state, step=step, epoch=epoch + 1)
     finally:
         if writer is not None:
             writer.close()
     return TrainResult(
-        critic=critic,
-        policy=pol,
-        rff=rff_state,
+        critic=state.critic,
+        policy=state.policy,
+        rff=state.rff,
         metrics=records,
-        featurizer=featurizer,
+        featurizer=state.featurizer,
         config=config,
         fault_count=fault_count,
         future_rows_in_policy_phase=policy_phase_rows,
         probe_log=probe_log if probe is not None else None,
     )
+
+
+def train(
+    config: TrainConfig, dataset: OfflineDataset, out_dir=None, probe=None, probe_every: int = 0
+) -> TrainResult:
+    """Run the full interleaved critic/policy loop over the dataset.
+
+    ``probe``, if given, is called as ``probe(step, critic, policy, rff)``
+    every ``probe_every`` steps and its results collected in the result's
+    ``probe_log`` (instrumentation only; does not affect training).
+    """
+    return _run(config, dataset, _init_state(config, dataset), out_dir, probe, probe_every)
 
 
 def pretrain_then_finetune(
@@ -286,24 +278,13 @@ def pretrain_then_finetune(
 ) -> TrainResult:
     """Phase 1: critic-only updates on the unlabeled data (no rewards read,
     no policy, no reward-feature tracking).  Phase 2: the full loop on the
-    labeled data, starting from the phase-1 critic and optimizer state."""
+    labeled data, starting from the phase-1 state."""
     if unlabeled_dataset.space != labeled_dataset.space:
         raise InvalidSpec("pretraining and finetuning datasets use different spaces")
-    critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions = _init_models(
-        config, unlabeled_dataset
-    )
+    state = _init_state(config, unlabeled_dataset)
     for _ in range(pretrain_steps):
-        critic, adam_c, *_ = _critic_step(
-            config, unlabeled_dataset, featurizer, rng_data, critic, adam_c, include_rewards=False
-        )
-    return train(
-        config,
-        labeled_dataset,
-        out_dir=out_dir,
-        probe=probe,
-        probe_every=probe_every,
-        _phase1_state=(critic, pol, rff_state, adam_c, adam_p, featurizer, rng_data, rng_actions),
-    )
+        state, *_ = _critic_step(config, unlabeled_dataset, state, include_rewards=False)
+    return _run(config, labeled_dataset, state, out_dir, probe, probe_every)
 
 
 @dataclass(frozen=True)

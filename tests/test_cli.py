@@ -94,6 +94,14 @@ def test_train_bad_set_value_exits_1(config_file, small_dataset_file, tmp_path, 
     assert "error:" in err and repr(override.split("=")[0]) in err
 
 
+@pytest.mark.parametrize("override", ["seed=-1", "policy_state_cap=-1", "hidden_sizes=-3"])
+def test_train_out_of_range_set_value_exits_1(config_file, small_dataset_file, tmp_path, capsys, override):
+    args = ["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(tmp_path)]
+    assert cli(args + ["--set", override]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and override.split("=")[0] in err
+
+
 def test_eval_checkpoint(config_file, small_dataset_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli(["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(out)]) == 0

@@ -2,11 +2,13 @@
 
 One direct-path run (``configs/grid.toml``) and one random-feature run
 (``configs/mountain_car.toml``), each 2 epochs x 15 steps on a small
-generated dataset.  The SHA-256 of ``metrics.log`` and of the final
-checkpoint are pinned, so any change to training arithmetic, sampling,
-initialisation or the file formats shows here.  A refactor must leave
-them alone; regenerate them only for a deliberate numerical change and
-say why.
+generated dataset.  Each config also runs through ``pretrain_then_finetune``:
+10 reward-free critic steps on the stripped dataset, then the same 2 x 15
+steps, so the handover of the pretrained state is pinned too.  The SHA-256
+of ``metrics.log`` and of the final checkpoint are pinned, so any change to
+training arithmetic, sampling, initialisation or the file formats shows
+here.  A refactor must leave them alone; regenerate them only for a
+deliberate numerical change and say why.
 
 Each run is a fresh interpreter with one BLAS thread: the random-feature
 run's bytes depend on the BLAS thread count.  Pinned with NumPy 2.4.6 on
@@ -23,12 +25,13 @@ import pytest
 
 import occq
 from occq.config import load_config
-from occq.data import generate_dataset
+from occq.data import generate_dataset, strip_rewards
 from occq.envs import behavior_policy, make_env
-from occq.training import train
+from occq.training import pretrain_then_finetune, train
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 OVERRIDES = {"epochs": "2", "steps_per_epoch": "15"}
+PRETRAIN_STEPS = 10
 
 GOLDEN = {
     "grid": (
@@ -40,9 +43,19 @@ GOLDEN = {
         "5c4fcf812e2cab7c12158342e6a97bd2afd981f6387cbaf66711e9cb73133fde",
     ),
 }
+GOLDEN_PRETRAIN = {
+    "grid": (
+        "5e19d44a9982c7f42484be9ec0bc17aa9df6e50f8d03664e0a6d6627d4ee7c75",
+        "6617b39b6e6c0e5fdc51d9d4b4aa792f0d0c138cddc9951c157ca9a21bca29d5",
+    ),
+    "mountain_car": (
+        "ddb567d462858198d4236cf8a8ec52d3e0fff41383f26530add903fb3eab8fee",
+        "90aa79d49687cb4043c76fd833bc0e440c59d16e4123b30aa3922895798943f2",
+    ),
+}
 
 
-def _run(name, out_dir):
+def _run(name, out_dir, pretrain_steps=0):
     if name == "grid":
         env = make_env("gridworld5x5")
         behavior = behavior_policy("epsilon_soft_tabular", mdp=env, epsilon=0.3)
@@ -51,21 +64,34 @@ def _run(name, out_dir):
         env = make_env("mountain_car")
         behavior = behavior_policy("scripted_mountain_car", sigma=0.3)
         dataset = generate_dataset(env, behavior, n_episodes=6, seed=1)
-    train(load_config(CONFIGS / f"{name}.toml", overrides=OVERRIDES), dataset, out_dir=out_dir)
+    config = load_config(CONFIGS / f"{name}.toml", overrides=OVERRIDES)
+    if pretrain_steps:
+        pretrain_then_finetune(config, strip_rewards(dataset), dataset, pretrain_steps, out_dir=out_dir)
+    else:
+        train(config, dataset, out_dir=out_dir)
 
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_bytes(name, tmp_path):
+def _digests(name, out_dir, pretrain_steps=0):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([str(Path(occq.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    subprocess.run([sys.executable, __file__, name, str(tmp_path)], env=env, check=True, timeout=120)
-    got = (_sha256(tmp_path / "metrics.log"), _sha256(tmp_path / "checkpoint_0002.ckpt"))
-    assert got == GOLDEN[name]
+    cmd = [sys.executable, __file__, name, str(out_dir), str(pretrain_steps)]
+    subprocess.run(cmd, env=env, check=True, timeout=120)
+    return _sha256(out_dir / "metrics.log"), _sha256(out_dir / "checkpoint_0002.ckpt")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(name, tmp_path):
+    assert _digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PRETRAIN))
+def test_golden_pretrain_bytes(name, tmp_path):
+    assert _digests(name, tmp_path, PRETRAIN_STEPS) == GOLDEN_PRETRAIN[name]
 
 
 if __name__ == "__main__":
-    _run(sys.argv[1], sys.argv[2])
+    _run(sys.argv[1], sys.argv[2], int(sys.argv[3]))
