@@ -74,6 +74,8 @@ class TrainConfig:
             raise InvalidSpec("feature dimensions must be positive")
         if any(width < 1 for width in self.hidden_sizes):
             raise InvalidSpec("hidden_sizes entries must be positive")
+        if self.log_std_min >= self.log_std_max:
+            raise InvalidSpec("log_std_min must be below log_std_max")
         if self.n_action_samples < 1:
             raise InvalidSpec("need at least one action sample")
         if self.epochs < 0 or self.steps_per_epoch < 1:

@@ -15,6 +15,8 @@ exponentiated critic logits over future states, scaled by 1 / (1 - gamma):
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,23 +71,47 @@ def rff_features(rff: RFFState, z: np.ndarray) -> np.ndarray:
     rows = z[None, :] if single else z
     if rows.shape[1] != rff.latent_dim:
         raise ShapeError(f"latent width {rows.shape[1]} does not match projection {rff.latent_dim}")
-    out = rows @ rff.projection.T  # updated in place: at rff_dim columns, a step's largest array
-    out += rff.phase
-    np.cos(out, out=out)
-    out *= np.sqrt(2.0 * np.e / rff.feature_dim)
+    out = _projected_trig(rff, rows, np.cos, np.sqrt(2.0 * np.e / rff.feature_dim))
     return out[0] if single else out
 
 
 def rff_features_backward(rff: RFFState, z: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Gradient of ``rff_features`` w.r.t. its latent input."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    dout = np.atleast_2d(np.asarray(dout, dtype=np.float64))
-    inner = z @ rff.projection.T
-    inner += rff.phase
-    np.sin(inner, out=inner)
-    inner *= -np.sqrt(2.0 * np.e / rff.feature_dim)
-    inner *= dout
-    return inner @ rff.projection
+    dout = np.broadcast_to(np.asarray(dout, dtype=np.float64), (len(z), rff.feature_dim))
+    return _projected_trig(rff, z, np.sin, -np.sqrt(2.0 * np.e / rff.feature_dim), dout) @ rff.projection
+
+
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_BLOCK_ELEMS = 65536  # a smaller trig tail (the reward-feature fold, any gridworld array) is not split
+_pool = functools.cache(lambda: __import__("concurrent.futures").futures.ThreadPoolExecutor(_THREADS - 1))
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool object but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _projected_trig(rff: RFFState, rows: np.ndarray, trig, scale: float, dout=None) -> np.ndarray:
+    """``trig(rows @ W.T + b) * scale [* dout]``: the matmul runs whole, the elementwise tail in place on
+    whole-row blocks, up to one per CPU on a pool started at the first split; any split gives the same bytes."""
+    out = rows @ rff.projection.T  # updated in place: at rff_dim columns, a step's largest array
+    blocks = max(1, min(_THREADS, len(out), out.size // _BLOCK_ELEMS))
+    cuts = [len(out) * i // blocks for i in range(blocks + 1)]
+    def tail(lo, hi):
+        block = out[lo:hi]
+        block += rff.phase
+        trig(block, out=block)
+        block *= scale
+        if dout is not None:
+            block *= dout[lo:hi]
+
+    futures = [_pool().submit(tail, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        tail(0, cuts[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits: no block may still be writing when the caller resumes
+    for future in futures:
+        future.result()
+    return out
 
 
 def update_reward_features(rff: RFFState, future_feats: np.ndarray, future_rewards: np.ndarray) -> RFFState:

@@ -281,6 +281,8 @@ def pretrain_then_finetune(
     labeled data, starting from the phase-1 state."""
     if unlabeled_dataset.space != labeled_dataset.space:
         raise InvalidSpec("pretraining and finetuning datasets use different spaces")
+    if pretrain_steps < 0:
+        raise InvalidSpec("pretrain_steps must be non-negative")
     state = _init_state(config, unlabeled_dataset)
     for _ in range(pretrain_steps):
         state, *_ = _critic_step(config, unlabeled_dataset, state, include_rewards=False)

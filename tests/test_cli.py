@@ -94,7 +94,7 @@ def test_train_bad_set_value_exits_1(config_file, small_dataset_file, tmp_path, 
     assert "error:" in err and repr(override.split("=")[0]) in err
 
 
-@pytest.mark.parametrize("override", ["seed=-1", "policy_state_cap=-1", "hidden_sizes=-3"])
+@pytest.mark.parametrize("override", ["seed=-1", "policy_state_cap=-1", "hidden_sizes=-3", "log_std_min=3"])
 def test_train_out_of_range_set_value_exits_1(config_file, small_dataset_file, tmp_path, capsys, override):
     args = ["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(tmp_path)]
     assert cli(args + ["--set", override]) == 1
@@ -133,6 +133,16 @@ def test_pretrain_command(config_file, small_dataset_file, tmp_path, capsys):
     )
     assert code == 0
     assert "reward reads during pretraining: 0" in capsys.readouterr().out
+
+
+def test_pretrain_negative_steps_exits_1(config_file, small_dataset_file, tmp_path, capsys):
+    code = cli(
+        ["pretrain", "--config", str(config_file), "--unlabeled", str(small_dataset_file),
+         "--labeled", str(small_dataset_file), "--pretrain-steps", "-5", "--out", str(tmp_path / "pre")]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "pretrain_steps" in captured.err and "pretrained -5" not in captured.out
 
 
 def test_export_plot(config_file, small_dataset_file, tmp_path, capsys):

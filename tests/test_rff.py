@@ -1,12 +1,22 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from occq import critic as critic_mod
+from occq import rff as rff_mod
 from occq.critic import encode_anchor, encode_future, init_critic
 from occq.errors import AccumulatorUninitialized, InvalidSpec, RewardRequired, ShapeError
+from occq.nets import param_list
 from occq.oracle import spearman
 from occq.policy import init_policy, kl_boltzmann_loss
 from occq.rff import (
+    RFFState,
     init_rff,
     make_direct_q_fn,
     make_rff_q_fn,
@@ -298,6 +308,127 @@ class TestQFnMatchesQValue:
         without = kl_boltzmann_loss(policy, lambda s, a: q_fn(s, a), states[::3], 0.5, 1, rng)
         assert with_values[0] == without[0]
         assert all(np.array_equal(a, b) for a, b in zip(with_values[1].weights, without[1].weights))
+
+
+def _split(monkeypatch, blocks):
+    # force the trig tail into ``blocks`` row blocks, whatever the CPU count and array size
+    monkeypatch.setattr(rff_mod, "_THREADS", blocks)
+    monkeypatch.setattr(rff_mod, "_BLOCK_ELEMS", 1)
+
+
+class TestRowBlocks:
+    # the cos/sin tail is elementwise, so any row split gives the 1-block bytes
+
+    @pytest.mark.parametrize("width", [1, 7, 33, 512])
+    @pytest.mark.parametrize("n_rows", [1, 5, 1280])
+    def test_kernels_match_one_block(self, monkeypatch, width, n_rows):
+        rng = np.random.default_rng(width * 10_000 + n_rows)
+        rff = init_rff(rng, feature_dim=width, latent_dim=16, ema_coeff=0.1)
+        z = rng.standard_normal((n_rows, 16))
+        dout_row, dout_rows = rng.standard_normal(width), rng.standard_normal((n_rows, width))
+
+        def kernels():
+            return [
+                rff_features(rff, z),
+                rff_features(rff, z[0]),
+                rff_features_backward(rff, z, dout_row),
+                rff_features_backward(rff, z, dout_rows),
+            ]
+
+        _split(monkeypatch, 1)
+        one_block = kernels()
+        _split(monkeypatch, 3)
+        for got, want in zip(kernels(), one_block):
+            assert np.array_equal(got, want)
+
+    def test_policy_kl_matches_one_block(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        critic = init_critic(rng, 4, 2, (16,), 8)
+        rff = init_rff(rng, 512, 8, 0.5)
+        f_emb, _, _ = encode_future(critic, rng.standard_normal((20, 4)), target=True)
+        rff = update_reward_features(rff, rff_features(rff, f_emb), rng.standard_normal(20))
+        policy = init_policy(rng, 4, 2, (8,), discrete=False)
+        states = rng.standard_normal((128, 4))
+
+        def kl():
+            q_fn = make_rff_q_fn(critic, rff, 0.9)
+            return kl_boltzmann_loss(policy, q_fn, states, 1.0, 10, np.random.default_rng(3))
+
+        _split(monkeypatch, 1)
+        loss, grads, _ = kl()
+        _split(monkeypatch, 3)
+        loss_split, grads_split, _ = kl()
+        assert loss_split == loss
+        assert all(np.array_equal(a, b) for a, b in zip(param_list(grads_split), param_list(grads), strict=True))
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_error_raised_after_every_block_returns(self, monkeypatch, failing):
+        # block i holds the single value i (identity projection, zero phase);
+        # block 0 runs on the calling thread, blocks 1 and 2 on the pool
+        _split(monkeypatch, 3)
+        rff = RFFState(np.ones((1, 1)), np.zeros(1), np.zeros(1), ema_coeff=1.0)
+        finished = []
+
+        def trig(block, out):
+            index = int(block[0, 0])
+            if index == failing:
+                raise FloatingPointError(f"block {index}")
+            time.sleep(0.2)
+            finished.append(index)
+
+        with pytest.raises(FloatingPointError, match=f"block {failing}"):
+            rff_mod._projected_trig(rff, np.arange(3.0)[:, None], trig, 1.0)
+        assert sorted(finished) == [i for i in range(3) if i != failing]
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # more blocks than cores, four calling threads, a thread switch every
+        # microsecond: every result must still equal the 1-block bytes
+        rng = np.random.default_rng(11)
+        rff = init_rff(rng, feature_dim=64, latent_dim=16, ema_coeff=0.1)
+        zs = [rng.standard_normal((40, 16)) for _ in range(4)]
+        _split(monkeypatch, 1)
+        want = [rff_features(rff, z) for z in zs]
+        _split(monkeypatch, 8)
+        matched = {}
+
+        def caller(i):
+            matched[i] = all(np.array_equal(rff_features(rff, zs[i]), want[i]) for _ in range(50))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert matched == {i: True for i in range(4)}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_computes_features(self):
+        # the child inherits a started pool object without its threads; it must
+        # start its own instead of waiting on workers that do not exist
+        script = """
+import os, signal, sys
+import numpy as np
+from occq import rff
+rff._THREADS = 2
+state = rff.init_rff(np.random.default_rng(0), 512, 16, 0.1)
+z = np.random.default_rng(1).standard_normal((1280, 16))
+want = rff.rff_features(state, z)
+assert rff._pool.cache_info().currsize == 1
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a hung child dies instead of outliving the test
+    os._exit(0 if np.array_equal(rff.rff_features(state, z), want) else 3)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(rff_mod.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def test_q_weighted_validates():
