@@ -54,11 +54,11 @@ def load_checkpoint(path):
     view = memoryview(blob)
     if blob[:8] != _MAGIC:
         raise FormatError("not a checkpoint file")
-    (version,) = struct.unpack_from("<I", view, 8)
-    if version != _VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    pos = 12
     try:
+        (version,) = struct.unpack_from("<I", view, 8)
+        if version != _VERSION:
+            raise VersionError(f"unsupported checkpoint version {version}")
+        pos = 12
         (n_meta,) = struct.unpack_from("<I", view, pos)
         pos += 4
         meta = {}
@@ -81,7 +81,10 @@ def load_checkpoint(path):
             nbytes = count * 8
             if pos + nbytes > len(blob):
                 raise FormatError("truncated checkpoint")
-            arr = np.frombuffer(blob, dtype=_DTYPES[code], count=count, offset=pos).reshape(shape)
+            try:
+                arr = np.frombuffer(blob, dtype=_DTYPES[code], count=count, offset=pos).reshape(shape)
+            except ValueError:  # numpy refuses a shape whose byte size overflows, even with no elements
+                raise FormatError(f"array {name!r} has an impossible shape {shape}") from None
             arrays[name] = arr.copy()
             pos += nbytes
     except struct.error:
@@ -96,9 +99,7 @@ def _write_str(fh, s: str):
 
 
 def _read_str(view, pos):
-    if pos + 4 > len(view):
-        raise FormatError("truncated checkpoint")
-    (n,) = struct.unpack_from("<I", view, pos)
+    (n,) = struct.unpack_from("<I", view, pos)  # past the end: struct.error, which the caller reports
     pos += 4
     if pos + n > len(view):
         raise FormatError("truncated checkpoint")

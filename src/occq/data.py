@@ -16,16 +16,21 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from .envs import Env, SpaceInfo, Trajectory, rollout
-from .errors import FormatError, InvalidSpec, RewardRequired, VersionError
-from .fileio import replacing
+from .errors import FormatError, InvalidSpec, NumericalFault, RewardRequired, VersionError
+from .fileio import read_text, replacing
 from .truncgeom import sample_supports
 
 _MAGIC = "occq-dataset"
 _VERSION = 1
+# What equality compares besides the episodes' arrays and terminal flags.
+_METADATA = attrgetter(
+    "env_id", "gamma", "horizon", "rewards_available", "behavior_descriptor", "space", "n_episodes"
+)
 
 
 @dataclass(eq=False)
@@ -54,26 +59,11 @@ class OfflineDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OfflineDataset):
             return NotImplemented
-        if (
-            self.env_id != other.env_id
-            or self.gamma != other.gamma
-            or self.horizon != other.horizon
-            or self.rewards_available != other.rewards_available
-            or self.behavior_descriptor != other.behavior_descriptor
-            or self.space != other.space
-            or len(self.episodes) != len(other.episodes)
-        ):
-            return False
-        for a, b in zip(self.episodes, other.episodes):
-            if a.terminal != b.terminal:
-                return False
-            if not np.array_equal(a.states, b.states) or not np.array_equal(a.actions, b.actions):
-                return False
-            if (a.rewards is None) != (b.rewards is None):
-                return False
-            if a.rewards is not None and not np.array_equal(a.rewards, b.rewards):
-                return False
-        return True
+        return _METADATA(self) == _METADATA(other) and all(
+            a.terminal == b.terminal
+            and all(map(np.array_equal, (a.states, a.actions, a.rewards), (b.states, b.actions, b.rewards)))
+            for a, b in zip(self.episodes, other.episodes)
+        )
 
     @property
     def n_episodes(self) -> int:
@@ -180,14 +170,11 @@ def sample_batch(
     second = draw_episode(exclude=first)
     chosen = [first] if second is None else [first, second]
 
-    parts = [_episode_pairs(dataset.episodes[i], gamma, rng, include_rewards) for i in chosen]
-    anchor_states = np.concatenate([p[0] for p in parts])
-    anchor_actions = np.concatenate([p[1] for p in parts])
-    positives = np.concatenate([p[2] for p in parts])
-    offsets = np.concatenate([p[3] for p in parts])
+    columns = list(zip(*(_episode_pairs(dataset.episodes[i], gamma, rng, include_rewards) for i in chosen)))
+    anchor_states, anchor_actions, positives, offsets = map(np.concatenate, columns[:4])
     rewards = None
     if include_rewards:
-        rewards = np.concatenate([p[4] for p in parts])
+        rewards = np.concatenate(columns[4])
         dataset.reward_reads += len(rewards)
     return ContrastiveBatch(
         anchor_states=anchor_states,
@@ -242,17 +229,21 @@ class _TokenReader:
         return tok
 
     def take_int(self) -> int:
+        """A non-negative int64: the format stores no negative integer."""
         tok = self.take()
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
-            raise FormatError(f"expected integer, got {tok!r}", line=self.line) from None
+            value = -1
+        if not 0 <= value < 2**63:
+            raise FormatError(f"expected non-negative int64, got {tok!r}", line=self.line)
+        return value
 
     def take_float(self) -> float:
         tok = self.take()
         try:
             return float.fromhex(tok)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise FormatError(f"expected hex float, got {tok!r}", line=self.line) from None
 
     def done(self):
@@ -263,47 +254,19 @@ class _TokenReader:
 def _read_array(reader: _TokenReader, kind: str, width: int) -> np.ndarray:
     n = reader.take_int()
     if kind == "index":
-        vals = np.array([reader.take_int() for _ in range(n)], dtype=np.int64)
-        return vals
+        return np.array([reader.take_int() for _ in range(n)], dtype=np.int64)
     vals = np.array([reader.take_float() for _ in range(n * width)], dtype=np.float64)
     return vals.reshape(n, width)
 
 
-def save(dataset: OfflineDataset, path):
-    """Write the dataset in the line-based, bit-exact text format."""
-    buf = io.StringIO()
-    buf.write(f"{_MAGIC} v{_VERSION}\n")
-    buf.write(f"env_id {dataset.env_id.replace(' ', '_')}\n")
-    buf.write(f"gamma {_hex(dataset.gamma)}\n")
-    buf.write(f"horizon {dataset.horizon}\n")
-    buf.write(f"rewards_available {int(dataset.rewards_available)}\n")
-    buf.write(f"behavior {dataset.behavior_descriptor.replace(' ', '_')}\n")
-    s = dataset.space
+_BOUNDS = ("state_low", "state_high", "action_low", "action_high")  # a vector space's bounds, in file order
+
+
+def _space_tokens(s: SpaceInfo) -> list[str]:
     if s.state_kind == "index":
-        buf.write(f"space index {s.n_states} {s.n_actions}\n")
-    else:
-        parts = (
-            [str(s.state_dim), str(s.action_dim)]
-            + [_hex(v) for v in s.state_low]
-            + [_hex(v) for v in s.state_high]
-            + [_hex(v) for v in s.action_low]
-            + [_hex(v) for v in s.action_high]
-        )
-        buf.write("space vector " + " ".join(parts) + "\n")
-    buf.write(f"episodes {dataset.n_episodes}\n")
-    for ep in dataset.episodes:
-        out: list[str] = []
-        _write_array(out, ep.states, s.state_kind)
-        _write_array(out, ep.actions, s.action_kind)
-        if ep.rewards is None:
-            out.append("0")
-        else:
-            out.append(str(len(ep.rewards)))
-            out.extend(_hex(v) for v in ep.rewards)
-        out.append(str(int(ep.terminal)))
-        buf.write(" ".join(out) + "\n")
-    with replacing(path) as fh:
-        fh.write(buf.getvalue().encode("utf-8"))
+        return ["index", str(s.n_states), str(s.n_actions)]
+    bounds = [_hex(v) for name in _BOUNDS for v in getattr(s, name)]
+    return ["vector", str(s.state_dim), str(s.action_dim), *bounds]
 
 
 def _read_space(reader: _TokenReader) -> SpaceInfo:
@@ -313,19 +276,38 @@ def _read_space(reader: _TokenReader) -> SpaceInfo:
     if kind != "vector":
         raise FormatError(f"unknown space kind {kind!r}", line=reader.line)
     sd, ad = reader.take_int(), reader.take_int()
-    low, high, action_low, action_high = (
-        tuple(reader.take_float() for _ in range(n)) for n in (sd, sd, ad, ad)
-    )
-    return SpaceInfo(
-        "vector",
-        "vector",
-        state_dim=sd,
-        action_dim=ad,
-        state_low=low,
-        state_high=high,
-        action_low=action_low,
-        action_high=action_high,
-    )
+    bounds = {name: tuple(reader.take_float() for _ in range(n)) for name, n in zip(_BOUNDS, (sd, sd, ad, ad))}
+    return SpaceInfo("vector", "vector", state_dim=sd, action_dim=ad, **bounds)
+
+
+# The header lines after the magic line, in file order: (key, the dataset's
+# text after the key, the reader that parses that text back).
+_HEADER = (
+    ("env_id", lambda d: d.env_id.replace(" ", "_"), _TokenReader.take),
+    ("gamma", lambda d: _hex(d.gamma), _TokenReader.take_float),
+    ("horizon", lambda d: str(d.horizon), _TokenReader.take_int),
+    ("rewards_available", lambda d: str(int(d.rewards_available)), lambda r: bool(r.take_int())),
+    ("behavior", lambda d: d.behavior_descriptor.replace(" ", "_"), _TokenReader.take),
+    ("space", lambda d: " ".join(_space_tokens(d.space)), _read_space),
+    ("episodes", lambda d: str(d.n_episodes), _TokenReader.take_int),
+)
+
+
+def save(dataset: OfflineDataset, path):
+    """Write the dataset in the line-based, bit-exact text format."""
+    buf = io.StringIO()
+    buf.write(f"{_MAGIC} v{_VERSION}\n")
+    for key, text, _ in _HEADER:
+        buf.write(f"{key} {text(dataset)}\n")
+    for ep in dataset.episodes:
+        out: list[str] = []
+        _write_array(out, ep.states, dataset.space.state_kind)
+        _write_array(out, ep.actions, dataset.space.action_kind)
+        _write_array(out, np.empty(0) if ep.rewards is None else ep.rewards, "vector")
+        out.append(str(int(ep.terminal)))
+        buf.write(" ".join(out) + "\n")
+    with replacing(path) as fh:
+        fh.write(buf.getvalue().encode("utf-8"))
 
 
 def _header(lines: list[str], idx: int, key: str, take):
@@ -341,8 +323,7 @@ def _header(lines: list[str], idx: int, key: str, take):
 
 def load(path) -> OfflineDataset:
     """Read a dataset written by ``save``; exact field-by-field inverse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise FormatError("empty file", line=1)
     magic = lines[0].split()
@@ -350,26 +331,22 @@ def load(path) -> OfflineDataset:
         raise FormatError("not a dataset file", line=1)
     if len(magic) != 2 or magic[1] != f"v{_VERSION}":
         raise VersionError(f"unsupported dataset version {' '.join(magic[1:])!r}")
-    env_id = _header(lines, 1, "env_id", _TokenReader.take)
-    gamma = _header(lines, 2, "gamma", _TokenReader.take_float)
-    horizon = _header(lines, 3, "horizon", _TokenReader.take_int)
-    rewards_available = bool(_header(lines, 4, "rewards_available", _TokenReader.take_int))
-    behavior = _header(lines, 5, "behavior", _TokenReader.take)
-    space = _header(lines, 6, "space", _read_space)
-    n_episodes = _header(lines, 7, "episodes", _TokenReader.take_int)
-    if len(lines) - 8 != n_episodes:
-        raise FormatError(f"{n_episodes} episode records declared, {len(lines) - 8} found")
+    env_id, gamma, horizon, rewards_available, behavior, space, n_episodes = (
+        _header(lines, idx, key, take) for idx, (key, _, take) in enumerate(_HEADER, start=1)
+    )
+    body = len(_HEADER) + 1
+    if len(lines) - body != n_episodes:
+        raise FormatError(f"{n_episodes} episode records declared, {len(lines) - body} found")
     episodes = []
-    for lineno, line in enumerate(lines[8:], start=9):
+    for lineno, line in enumerate(lines[body:], start=body + 1):
         reader = _TokenReader(line.split(), line=lineno)
         states = _read_array(reader, space.state_kind, space.state_dim)
         actions = _read_array(reader, space.action_kind, space.action_dim)
-        n_rewards = reader.take_int()
-        rewards = None
-        if n_rewards:
-            rewards = np.array([reader.take_float() for _ in range(n_rewards)])
+        rewards = _read_array(reader, "vector", 1).reshape(-1)
         terminal = bool(reader.take_int())
         reader.done()
+        if not rewards_available and not rewards.size:
+            rewards = None
         episodes.append(Trajectory(states=states, actions=actions, rewards=rewards, terminal=terminal))
     try:
         return OfflineDataset(
@@ -381,5 +358,5 @@ def load(path) -> OfflineDataset:
             behavior_descriptor=behavior,
             space=space,
         )
-    except InvalidSpec as exc:
+    except (InvalidSpec, NumericalFault) as exc:
         raise FormatError(f"inconsistent dataset: {exc}") from exc

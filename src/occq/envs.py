@@ -173,11 +173,16 @@ class Trajectory:
             raise InvalidSpec(f"trajectory has {self.n_steps} steps, horizon is {horizon}")
 
 
+def _draw(cdf: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw of an index for ``u`` in [0, 1).  A cdf summed in floating point can
+    end just below 1; a ``u`` above its end draws the last index with positive mass."""
+    return int(np.searchsorted(cdf, min(u, cdf[-1])))
+
+
 def initial_state(env: Env, rng: np.random.Generator):
     """Sample a start state: tabular from start_dist, car near the valley."""
     if isinstance(env, TabularMDP):
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(env.start_dist), u))
+        return _draw(np.cumsum(env.start_dist), rng.random())
     position = rng.uniform(-0.6, -0.4)
     return np.array([position, 0.0])
 
@@ -195,9 +200,7 @@ def step(env: Env, state, action, rng: np.random.Generator):
         s = int(state)
         if not 0 <= s < env.n_states:
             raise InvalidSpec(f"state {s} outside [0, {env.n_states})")
-        u = rng.random()
-        nxt = int(np.searchsorted(np.cumsum(env.transition[s, a]), u))
-        nxt = min(nxt, env.n_states - 1)  # guard cumsum rounding
+        nxt = _draw(np.cumsum(env.transition[s, a]), rng.random())
         return nxt, float(env.reward[nxt]), False
 
     state = np.asarray(state, dtype=np.float64)
@@ -433,7 +436,7 @@ def behavior_policy(kind: str, **params) -> BehaviorPolicy:
         cdf = np.cumsum(table, axis=1)
 
         def fn(state, rng):
-            return int(np.searchsorted(cdf[int(state)], rng.random()))
+            return _draw(cdf[int(state)], rng.random())
 
         return BehaviorPolicy(kind, f"epsilon_soft(eps={epsilon:g})", fn)
 

@@ -1,9 +1,11 @@
-"""Crash-safe file writes."""
+"""Crash-safe file writes and strict text reads."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+from .errors import FormatError
 
 
 @contextmanager
@@ -25,3 +27,12 @@ def replacing(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; bytes that do not decode raise ``FormatError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -1,22 +1,20 @@
 """Per-step training metrics: in-memory records and an append-only log.
 
-Each record is one line of ``key=value`` fields; floats are hex literals so
-identical runs produce identical files.  The reader tolerates a truncated
-final line (a crash mid-append) by dropping it; malformed lines elsewhere
-are an error.  Wall-clock timing is kept only in memory so the persisted
-stream stays deterministic.
+Each record is one line of ``key=value`` fields in ``_SERIALIZED`` order: the
+integers in ``_INTS`` as decimals, every other field as a hex float literal,
+so identical runs produce identical files.  A line ends with a newline once
+it is complete; the reader drops whatever follows the last newline (a crash
+mid-append) and raises on any other malformed line.  ``wall_time`` is kept
+only in memory so the persisted stream stays deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import FormatError
-
-_INT_FIELDS = {"step", "epoch"}
-_FLAG_FIELDS = {"fault"}
+from .fileio import read_text
 
 
 @dataclass
@@ -35,41 +33,28 @@ class MetricsRecord:
     wall_time: float | None = None  # in-memory only, never serialized
 
     def to_line(self) -> str:
-        parts = []
-        for f in fields(self):
-            if f.name == "wall_time":
-                continue
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name in _INT_FIELDS or f.name in _FLAG_FIELDS:
-                parts.append(f"{f.name}={int(value)}")
-            else:
-                parts.append(f"{f.name}={float(value).hex()}")
-        return " ".join(parts)
+        values = ((name, getattr(self, name)) for name in _SERIALIZED)
+        return " ".join(f"{k}={int(v) if k in _INTS else float(v).hex()}" for k, v in values if v is not None)
 
     @classmethod
     def from_line(cls, line: str, lineno: int | None = None) -> "MetricsRecord":
-        known = {f.name for f in fields(cls)}
         values = {}
         for token in line.split():
-            if "=" not in token:
+            key, sep, raw = token.partition("=")
+            if not sep or key not in _SERIALIZED:
                 raise FormatError(f"bad metrics token {token!r}", line=lineno)
-            key, raw = token.split("=", 1)
-            if key not in known or key == "wall_time":
-                raise FormatError(f"unknown metrics field {key!r}", line=lineno)
             try:
-                if key in _INT_FIELDS:
-                    values[key] = int(raw)
-                elif key in _FLAG_FIELDS:
-                    values[key] = bool(int(raw))
-                else:
-                    values[key] = float.fromhex(raw)
-            except ValueError:
+                values[key] = _INTS.get(key, float.fromhex)(raw)
+            except (ValueError, OverflowError):
                 raise FormatError(f"bad value for {key!r}: {raw!r}", line=lineno) from None
         if "step" not in values or "epoch" not in values:
             raise FormatError("record is missing step/epoch", line=lineno)
         return cls(**values)
+
+
+# The fields a line holds, in order, and the readers of the integer ones.
+_SERIALIZED = [f.name for f in fields(MetricsRecord) if f.name != "wall_time"]
+_INTS = {"step": int, "epoch": int, "fault": lambda raw: bool(int(raw))}
 
 
 class MetricsWriter:
@@ -100,56 +85,27 @@ class MetricsWriter:
 def load_metrics(path) -> tuple[list[MetricsRecord], int]:
     """Read all complete records; returns (records, dropped_partial_lines).
 
-    Only an unparseable *final* line is treated as a crash artifact and
-    dropped; anything else malformed raises FormatError.
+    The text after the last newline is a torn tail and is dropped; every
+    other non-blank line must parse or FormatError is raised.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read()
-    lines = content.split("\n")
-    trailing_complete = content.endswith("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records: list[MetricsRecord] = []
-    dropped = 0
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        is_last = i == len(lines) - 1
-        try:
-            records.append(MetricsRecord.from_line(line, lineno=i + 1))
-        except FormatError:
-            if is_last and not trailing_complete:
-                dropped += 1
-                break
-            raise
-    if records and not trailing_complete:
-        # final line parsed but had no newline: still treat as partial
-        records.pop()
-        dropped += 1
-    return records, dropped
-
-
-def numeric_fields() -> list[str]:
-    return [f.name for f in fields(MetricsRecord) if f.name not in ("wall_time",)]
+    *lines, tail = read_text(path).split("\n")
+    records = [MetricsRecord.from_line(line, lineno=i) for i, line in enumerate(lines, 1) if line.strip()]
+    return records, int(bool(tail.strip()))
 
 
 def export_plot_data(records: list[MetricsRecord], field_names: list[str], delimiter: str = ",") -> str:
     """Delimiter-separated (step, metric...) table for external plotting."""
-    known = set(numeric_fields())
     for name in field_names:
-        if name not in known:
+        if name not in _SERIALIZED:
             raise FormatError(f"unknown metrics field {name!r}")
-    header = delimiter.join(["step"] + field_names)
-    rows = [header]
+    rows = [delimiter.join(["step"] + field_names)]
     for rec in records:
         cells = [str(rec.step)]
         for name in field_names:
             value = getattr(rec, name)
-            if value is None or (isinstance(value, float) and np.isnan(value)):
+            if value is None or (name not in _INTS and math.isnan(value)):
                 cells.append("")
-            elif isinstance(value, bool):
-                cells.append(str(int(value)))
             else:
-                cells.append(repr(float(value)) if isinstance(value, float) else str(value))
+                cells.append(str(int(value)) if name in _INTS else repr(float(value)))
         rows.append(delimiter.join(cells))
     return "\n".join(rows) + "\n"

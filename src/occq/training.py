@@ -27,7 +27,7 @@ from .config import TrainConfig, config_from_kv, config_hash, config_to_kv
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
 from .data import OfflineDataset, sample_batch
 from .envs import Env, rollout
-from .errors import InvalidSpec, NumericalFault
+from .errors import FormatError, InvalidSpec, NumericalFault
 from .features import Featurizer, featurizer_for
 from .metrics import MetricsRecord, MetricsWriter
 from .nets import AdamState
@@ -141,13 +141,17 @@ def write_training_checkpoint(
 def load_policy_checkpoint(path):
     """Rebuild the policy (and its metadata) from a checkpoint file."""
     arrays, meta = load_checkpoint(path)
-    kv = dict(item.split("=", 1) for item in meta["config"].split(";") if item)
+    try:
+        kv = dict(item.split("=", 1) for item in meta["config"].split(";") if item)
+        action_dim, discrete = int(meta["action_dim"]), bool(int(meta["discrete"]))
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"not a policy checkpoint: bad or missing metadata ({exc})") from None
     config = config_from_kv(kv)
     net = nets.mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
     pol = PolicyParams(
         net=net,
-        action_dim=int(meta["action_dim"]),
-        discrete=bool(int(meta["discrete"])),
+        action_dim=action_dim,
+        discrete=discrete,
         log_std_min=config.log_std_min,
         log_std_max=config.log_std_max,
     )

@@ -121,6 +121,16 @@ def test_eval_env_mismatch_exits_1(config_file, small_dataset_file, tmp_path, ca
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta", [{"env_id": "gridworld5x5"}, {"env_id": "gridworld5x5", "config": "gamma"}])
+def test_eval_checkpoint_without_config_exits_1(tmp_path, capsys, meta):
+    from occq.checkpoint import save_checkpoint
+
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, {}, meta)
+    assert cli(["eval", "--checkpoint", str(path), "--env", "gridworld5x5"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_pretrain_command(config_file, small_dataset_file, tmp_path, capsys):
     from occq.data import save, strip_rewards
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,7 @@ class TestRoundTrip:
             (1, "env_id"),
             (1, "env_id chain2 extra"),
             (2, "gamma zz"),
+            (2, "gamma 0x1p2000"),
             (3, "horizon abc"),
             (3, "horizon 10 10"),
             (4, "rewards_available yes"),
@@ -130,6 +133,32 @@ class TestRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
             load(path)
+
+    def test_non_finite_reward_rejected(self, chain_dataset, tmp_path):
+        path = tmp_path / "data.txt"
+        save(chain_dataset, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[8].split()
+        tokens[-2] = "inf"  # the episode's last reward
+        lines[8] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            load(path)
+
+    def test_undecodable_file_rejected(self, chain_dataset, tmp_path):
+        path = tmp_path / "data.txt"
+        save(chain_dataset, path)
+        path.write_bytes(path.read_bytes().replace(b"chain2", b"chain\xff"))
+        with pytest.raises(FormatError):
+            load(path)
+
+    def test_zero_step_episode_round_trip(self, chain_dataset, tmp_path):
+        empty = Trajectory(states=np.array([0]), actions=np.zeros(0, dtype=np.int64), rewards=np.zeros(0))
+        ds = replace(chain_dataset, episodes=chain_dataset.episodes + [empty])
+        path = tmp_path / "data.txt"
+        for dataset in (ds, strip_rewards(ds)):
+            save(dataset, path)
+            assert load(path) == dataset
 
     @given(seed=st.integers(0, 10_000), n_eps=st.integers(1, 5))
     @settings(max_examples=25, deadline=None)

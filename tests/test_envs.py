@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from occq.envs import (
     MountainCarEnv,
+    TabularMDP,
     behavior_policy,
     epsilon_soft_table,
     gridworld_from_ascii,
@@ -296,3 +297,37 @@ class TestEnvConfig:
         starts = {initial_state(grid5, rng) for _ in range(500)}
         assert 24 not in starts  # goal excluded from the start distribution
         assert len(starts) > 10
+
+
+class _FixedDraw:
+    """A generator stand-in whose ``random()`` always returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestCategoricalDrawAtTheTop:
+    """``u`` just below 1 lies past a cdf whose float sum ends below 1; the
+    draw must still be an outcome with positive probability."""
+
+    U = 1.0 - 2.0**-53
+
+    def test_initial_state(self):
+        env = make_env("gridworld5x5")
+        s = initial_state(env, _FixedDraw(self.U))
+        assert env.start_dist[s] > 0
+
+    def test_epsilon_soft_action(self):
+        env = make_env("gridworld5x5")
+        policy = behavior_policy("epsilon_soft_tabular", mdp=env, epsilon=0.3)
+        assert all(policy(s, _FixedDraw(self.U)) < env.n_actions for s in range(env.n_states))
+
+    def test_transition(self):
+        row = np.array([1 / 24] * 24 + [0.0])  # cumsum ends at 0.9999999999999996
+        transition = np.broadcast_to(row, (25, 1, 25)).copy()
+        mdp = TabularMDP(25, 1, transition, np.zeros(25), row, gamma=0.9, horizon=5)
+        nxt, _, _ = step(mdp, 0, 0, _FixedDraw(self.U))
+        assert row[nxt] > 0

@@ -61,6 +61,22 @@ class TestMetrics:
         with pytest.raises(FormatError):
             load_metrics(path)
 
+    def test_overflowing_float_rejected(self):
+        with pytest.raises(FormatError):
+            MetricsRecord.from_line("step=1 epoch=0 critic_loss=0x1p2000")
+
+    def test_blank_torn_tail_keeps_the_last_record(self, tmp_path):
+        path = tmp_path / "metrics.log"
+        path.write_text("step=1 epoch=0\nstep=2 epoch=0\n  ")
+        records, dropped = load_metrics(path)
+        assert [r.step for r in records] == [1, 2] and dropped == 0
+
+    def test_undecodable_log_rejected(self, tmp_path):
+        path = tmp_path / "metrics.log"
+        path.write_bytes(b"step=1 epoch=0\nstep=\xff epoch=0\n")
+        with pytest.raises(FormatError):
+            load_metrics(path)
+
     def test_export_plot_data(self):
         records = [sample_record(step=1), sample_record(step=2, mean_q=None)]
         text = export_plot_data(records, ["critic_loss", "mean_q"])
@@ -139,5 +155,22 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": np.zeros((5, 4))}, {})
         data = path.read_bytes()
         path.write_bytes(data.replace(struct.pack("<Q", 5), struct.pack("<Q", 2**62), 1))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [8, 9, 10, 11])
+    def test_cut_inside_the_version_rejected(self, tmp_path, size):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {}, {})
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_empty_array_with_overflowing_shape_rejected(self, tmp_path):
+        # no elements, but 2**62 x 4 x 8 bytes is more than numpy can address
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros((0, 4))}, {})
+        data = path.read_bytes()
+        path.write_bytes(data.replace(struct.pack("<Q", 4), struct.pack("<Q", 2**62), 1))
         with pytest.raises(FormatError):
             load_checkpoint(path)
