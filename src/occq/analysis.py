@@ -14,6 +14,7 @@ from .data import OfflineDataset, sample_batch, state_action_frequencies
 from .envs import TabularMDP
 from .errors import InvalidSpec
 from .features import TabularFeaturizer
+from .fileio import replacing
 from .oracle import RatioTable, exact_q, exact_ratio, spearman
 from .rff import q_value_direct, q_weighted
 
@@ -72,17 +73,12 @@ def write_q_comparison(path, report: dict, delimiter: str = ","):
     """Dump a topology report's per-pair values as delimiter-separated rows
     (state, action, q_learned, q_exact_ratio, q_true) for external plotting."""
     states, actions = report["pairs"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(["state", "action", "q_learned", "q_exact_ratio", "q_true"]) + "\n")
-        for i in range(len(states)):
-            cells = [
-                str(int(states[i])),
-                str(int(actions[i])),
-                repr(float(report["q_learned"][i])),
-                repr(float(report["q_control"][i])),
-                repr(float(report["q_true"][i])),
-            ]
-            fh.write(delimiter.join(cells) + "\n")
+    rows = [delimiter.join(["state", "action", "q_learned", "q_exact_ratio", "q_true"])]
+    for i in range(len(states)):
+        values = [repr(float(report[key][i])) for key in ("q_learned", "q_control", "q_true")]
+        rows.append(delimiter.join([str(int(states[i])), str(int(actions[i]))] + values))
+    with replacing(path) as fh:
+        fh.write(("\n".join(rows) + "\n").encode("utf-8"))
 
 
 def q_topology_report(

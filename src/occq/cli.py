@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import data
-from .config import TrainConfig, config_from_kv, load_config
+from .config import load_config, parse_kv
 from .envs import ENV_REGISTRY, MountainCarEnv, TabularMDP, behavior_policy, make_env
 from .errors import OccqError
+from .fileio import replacing
 from .metrics import export_plot_data, load_metrics
 from .training import evaluate, load_policy_checkpoint, pretrain_then_finetune, train
 
@@ -39,21 +39,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.3, help="epsilon-soft mixing rate")
     p.add_argument("--sigma", type=float, default=0.3, help="scripted-controller noise")
 
-    p = sub.add_parser("train", help="train on a dataset")
-    p.add_argument("--config", required=True, help="flat key-value config file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override any config key")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True, help="flat key-value config file")
+    run.add_argument("--out", required=True)
+    run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override any config key")
 
-    p = sub.add_parser("pretrain", help="critic-only pretraining, then full finetuning")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("train", parents=[run], help="train on a dataset")
+    p.add_argument("--data", required=True)
+
+    p = sub.add_parser("pretrain", parents=[run], help="critic-only pretraining, then full finetuning")
     p.add_argument("--unlabeled", required=True, help="dataset for the reward-free phase")
     p.add_argument("--labeled", required=True, help="dataset for the finetuning phase")
     p.add_argument("--pretrain-steps", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     p = sub.add_parser("eval", help="roll out a checkpointed policy")
     p.add_argument("--checkpoint", required=True)
@@ -73,12 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict[str, str]:
-    kv = {}
-    for item in args.set:
-        if "=" not in item:
-            raise OccqError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        kv[key.strip()] = value.strip()
+    kv = parse_kv(args.set)
     if args.seed is not None:
         kv["seed"] = str(args.seed)
     return kv
@@ -91,14 +84,10 @@ def _make_behavior(args, env):
     if kind == "uniform":
         return behavior_policy("uniform_random", env=env)
     if kind == "epsilon-soft":
-        if not isinstance(env, TabularMDP):
-            raise OccqError("epsilon-soft behavior needs a tabular env")
         return behavior_policy("epsilon_soft_tabular", mdp=env, epsilon=args.epsilon)
-    if kind == "scripted":
-        if not isinstance(env, MountainCarEnv):
-            raise OccqError("the scripted controller only drives mountain car")
-        return behavior_policy("scripted_mountain_car", sigma=args.sigma)
-    raise OccqError(f"unknown behavior {kind!r}")
+    if not isinstance(env, MountainCarEnv):
+        raise OccqError("the scripted controller only drives mountain car")
+    return behavior_policy("scripted_mountain_car", sigma=args.sigma)
 
 
 def cli(argv=None) -> int:
@@ -163,12 +152,14 @@ def _dispatch(args) -> int:
 
     if args.command == "inspect":
         dataset = data.load(args.data)
-        lengths = np.array([ep.n_steps for ep in dataset.episodes])
         print(f"env_id: {dataset.env_id}")
         print(f"episodes: {dataset.n_episodes}")
         print(f"rewards_available: {str(dataset.rewards_available).lower()}")
         print(f"behavior: {dataset.behavior_descriptor}")
         print(f"gamma: {dataset.gamma}  horizon: {dataset.horizon}")
+        if not dataset.n_episodes:
+            return 0
+        lengths = np.array([ep.n_steps for ep in dataset.episodes])
         print(f"steps: min={lengths.min()} mean={lengths.mean():.1f} max={lengths.max()}")
         if dataset.rewards_available:
             returns = np.array([ep.rewards.sum() for ep in dataset.episodes])
@@ -182,7 +173,8 @@ def _dispatch(args) -> int:
         if args.out == "-":
             sys.stdout.write(text)
         else:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with replacing(args.out) as fh:
+                fh.write(text.encode("utf-8"))
         if dropped:
             print(f"note: dropped {dropped} partial trailing record(s)", file=sys.stderr)
         return 0

@@ -1,17 +1,19 @@
 """Training configuration and the flat key-value config file format.
 
 Config files are plain ``key = value`` lines ('#' starts a comment; string
-values may be quoted).  CLI overrides take precedence over file values.
+values may be quoted), as are CLI ``--set`` overrides, which take precedence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import typing
 from dataclasses import dataclass
 
 from .errors import FormatError, InvalidSpec
+from .fileio import read_text
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ class TrainConfig:
     policy_state_cap: int = 0  # 0 = policy losses use the whole batch
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidSpec(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise InvalidSpec("gamma must lie in [0, 1)")
         for name in (
@@ -138,24 +143,25 @@ def config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def parse_kv(lines) -> dict[str, str]:
+    """Parse ``key = value`` lines; '#' starts a comment, blank lines are skipped."""
+    kv: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
+        key, value = line.split("=", 1)
+        kv[key.strip()] = value.strip()
+    return kv
+
+
 def read_kv(path) -> dict[str, str]:
     """Parse a flat key-value text file."""
-    kv: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
-            key, value = line.split("=", 1)
-            kv[key.strip()] = value.strip()
-    return kv
+    return parse_kv(read_text(path).split("\n"))
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> TrainConfig:
     """Read a config file and apply CLI-style overrides on top."""
-    kv = read_kv(path)
-    if overrides:
-        kv.update(overrides)
-    return config_from_kv(kv)
+    return config_from_kv({**read_kv(path), **(overrides or {})})

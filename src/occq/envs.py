@@ -20,13 +20,14 @@ from __future__ import annotations
 import inspect
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .config import _parse_value, read_kv
 from .errors import InvalidAction, InvalidSpec, NumericalFault
+from .fileio import read_text
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 _GRID_MOVES = {UP: (-1, 0), RIGHT: (0, 1), DOWN: (1, 0), LEFT: (0, -1)}
@@ -381,78 +382,79 @@ def gridworld_from_ascii(
     return _grid_mdp(cells, goal, starts, step_reward, goal_reward, slip_prob, gamma, horizon, env_id)
 
 
-@dataclass
-class BehaviorPolicy:
-    """A stochastic state -> action map with a human-readable descriptor."""
-
-    kind: str
-    descriptor: str
-    _fn: Callable = field(repr=False)
-
-    def __call__(self, state, rng: np.random.Generator):
-        return self._fn(state, rng)
-
-
 def epsilon_soft_table(greedy_table: np.ndarray, epsilon: float) -> np.ndarray:
     """Mix a deterministic policy table with the uniform one."""
     n_actions = greedy_table.shape[1]
     return (1.0 - epsilon) * greedy_table + epsilon / n_actions
 
 
-def behavior_policy(kind: str, **params) -> BehaviorPolicy:
-    """Build a data-collection policy.
+def _uniform_random(env: Env):
+    """Uniform over the env's actions."""
+    if isinstance(env, TabularMDP):
+        n = env.n_actions
+        return (lambda state, rng: int(rng.integers(n))), "uniform_random"
+    return (lambda state, rng: rng.uniform(-1.0, 1.0, size=1)), "uniform_random"
 
-    kinds:
-      - "uniform_random": params env.
-      - "epsilon_soft_tabular": params mdp, epsilon; epsilon-greedy around
-        the value-iteration policy of ``mdp``.
-      - "scripted_mountain_car": params sigma; energy pumping
-        (full force along the current velocity) plus Gaussian noise.
-    """
-    if kind == "uniform_random":
-        env = params["env"]
-        if isinstance(env, TabularMDP):
-            n = env.n_actions
 
-            def fn(state, rng):
-                return int(rng.integers(n))
+def _epsilon_soft_tabular(mdp: TabularMDP, epsilon: float):
+    """Epsilon-greedy around the value-iteration policy of a tabular ``mdp``."""
+    from .oracle import value_iteration  # local import avoids a cycle
 
-        else:
+    if not isinstance(mdp, TabularMDP):
+        raise InvalidSpec(f"epsilon_soft_tabular needs a tabular mdp, got {type(mdp).__name__}")
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise InvalidSpec("epsilon must lie in [0, 1]")
+    _, greedy = value_iteration(mdp)
+    cdf = np.cumsum(epsilon_soft_table(greedy, epsilon), axis=1)
+    return (lambda state, rng: _draw(cdf[int(state)], rng.random())), f"epsilon_soft(eps={epsilon:g})"
 
-            def fn(state, rng):
-                return rng.uniform(-1.0, 1.0, size=1)
 
-        return BehaviorPolicy(kind, "uniform_random", fn)
+def _scripted_mountain_car(sigma: float = 0.0):
+    """Energy pumping (full force along the current velocity) plus Gaussian noise."""
+    sigma = float(sigma)
+    if sigma < 0.0:
+        raise InvalidSpec("sigma must be non-negative")
 
-    if kind == "epsilon_soft_tabular":
-        from .oracle import value_iteration  # local import avoids a cycle
+    def fn(state, rng):
+        base = 1.0 if state[1] >= 0.0 else -1.0
+        noise = sigma * rng.normal() if sigma > 0.0 else 0.0
+        return np.array([min(max(base + noise, -1.0), 1.0)])
 
-        mdp: TabularMDP = params["mdp"]
-        epsilon = float(params["epsilon"])
-        if not 0.0 <= epsilon <= 1.0:
-            raise InvalidSpec("epsilon must lie in [0, 1]")
-        _, greedy = value_iteration(mdp)
-        table = epsilon_soft_table(greedy, epsilon)
-        cdf = np.cumsum(table, axis=1)
+    return fn, f"scripted_mc(sigma={sigma:g})"
 
-        def fn(state, rng):
-            return _draw(cdf[int(state)], rng.random())
 
-        return BehaviorPolicy(kind, f"epsilon_soft(eps={epsilon:g})", fn)
+# Behaviour kind -> builder of (policy, descriptor) from the kind's parameters.
+BEHAVIORS: dict[str, Callable] = {
+    "uniform_random": _uniform_random,
+    "epsilon_soft_tabular": _epsilon_soft_tabular,
+    "scripted_mountain_car": _scripted_mountain_car,
+}
 
-    if kind == "scripted_mountain_car":
-        sigma = float(params.get("sigma", 0.0))
-        if sigma < 0.0:
-            raise InvalidSpec("sigma must be non-negative")
 
-        def fn(state, rng):
-            base = 1.0 if state[1] >= 0.0 else -1.0
-            noise = sigma * rng.normal() if sigma > 0.0 else 0.0
-            return np.array([min(max(base + noise, -1.0), 1.0)])
+def behavior_policy(kind: str, **params) -> Callable:
+    """The data-collection policy ``fn(state, rng) -> action`` that
+    ``BEHAVIORS[kind]`` builds from ``params``; ``fn.descriptor`` names it in
+    dataset headers.  An unknown kind, or a missing or unknown parameter,
+    raises ``InvalidSpec``."""
+    if kind not in BEHAVIORS:
+        raise InvalidSpec(f"unknown behavior policy kind {kind!r}")
+    fn, descriptor = _build(BEHAVIORS[kind], kind, params, {})
+    fn.descriptor = descriptor
+    return fn
 
-        return BehaviorPolicy(kind, f"scripted_mc(sigma={sigma:g})", fn)
 
-    raise InvalidSpec(f"unknown behavior policy kind {kind!r}")
+def _build(factory: Callable, where, args: dict, texts: dict):
+    """``factory(**args)``, with each of ``texts`` parsed as the type its key
+    has in ``factory``'s signature and added to ``args``.  A bad value, or a
+    missing or unknown argument, raises ``InvalidSpec`` naming it."""
+    types = typing.get_type_hints(factory)
+    try:
+        args = {**args, **{key: _parse_value(key, text, types) for key, text in texts.items()}}
+        inspect.signature(factory).bind(**args)
+    except (InvalidSpec, TypeError) as exc:
+        raise InvalidSpec(f"{where}: {exc}") from None
+    return factory(**args)
 
 
 # -- registry and config-file loading ---------------------------------------
@@ -524,12 +526,5 @@ def load_env_spec(path) -> Env:
     args = {}
     if kind == "gridworld" and "layout_file" in kv:
         factory = gridworld_from_ascii
-        with open(kv.pop("layout_file"), "r", encoding="utf-8") as fh:
-            args["layout"] = fh.read()
-    types = typing.get_type_hints(factory)
-    try:
-        args.update((key, _parse_value(key, text, types)) for key, text in kv.items())
-        bound = inspect.signature(factory).bind(**args)
-    except (InvalidSpec, TypeError) as exc:
-        raise InvalidSpec(f"{path}: {exc}") from None
-    return factory(*bound.args, **bound.kwargs)
+        args["layout"] = read_text(kv.pop("layout_file"))
+    return _build(factory, path, args, kv)

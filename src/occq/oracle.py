@@ -140,17 +140,12 @@ def exact_ratio(
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
+    """Ranks starting at 1, ties sharing their average rank; each NaN ranks
+    alone, after every number, in input order."""
+    _, counts = np.unique(x, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
     ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[np.argsort(x, kind="stable")] = np.repeat(ends - 0.5 * (counts - 1), counts)
     return ranks
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import critic as critic_mod
 from . import nets, policy as policy_mod, rff as rff_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import TrainConfig, config_from_kv, config_hash, config_to_kv
+from .config import TrainConfig, config_from_kv, config_hash, config_to_kv, parse_kv
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
 from .data import OfflineDataset, sample_batch
 from .envs import Env, rollout
@@ -142,11 +142,10 @@ def load_policy_checkpoint(path):
     """Rebuild the policy (and its metadata) from a checkpoint file."""
     arrays, meta = load_checkpoint(path)
     try:
-        kv = dict(item.split("=", 1) for item in meta["config"].split(";") if item)
+        config = config_from_kv(parse_kv(meta["config"].split(";")))
         action_dim, discrete = int(meta["action_dim"]), bool(int(meta["discrete"]))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"not a policy checkpoint: bad or missing metadata ({exc})") from None
-    config = config_from_kv(kv)
     net = nets.mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
     pol = PolicyParams(
         net=net,
@@ -228,11 +227,10 @@ def _run(config, dataset, state: RunState, out_dir, probe, probe_every) -> Train
                 try:
                     state, metrics, rows = _train_step(config, dataset, state)
                     policy_phase_rows += rows
-                    wall_time = time.monotonic() - start
-                    record = MetricsRecord(step=step, epoch=epoch, **metrics, wall_time=wall_time)
                 except NumericalFault:
                     fault_count += 1
-                    record = MetricsRecord(step=step, epoch=epoch, fault=True)
+                    metrics = {"fault": True}
+                record = MetricsRecord(step=step, epoch=epoch, **metrics, wall_time=time.monotonic() - start)
                 records.append(record)
                 if writer is not None:
                     writer.append(record)

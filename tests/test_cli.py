@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from occq.cli import cli
 from occq.config import config_to_kv, TrainConfig
-from occq.data import load
+from occq.data import load, save
 
 
 @pytest.fixture
@@ -55,6 +57,14 @@ def test_gen_data_and_inspect(small_dataset_file, capsys):
     assert "rewards_available: true" in out
 
 
+def test_inspect_empty_dataset(small_dataset_file, tmp_path, capsys):
+    empty = tmp_path / "empty.dataset"
+    save(replace(load(small_dataset_file), episodes=[]), empty)
+    assert cli(["inspect", "--data", str(empty)]) == 0
+    out = capsys.readouterr().out
+    assert "episodes: 0" in out and "steps:" not in out
+
+
 def test_gen_data_mountain_car(tmp_path):
     out = tmp_path / "car.dataset"
     code = cli(["gen-data", "--env", "mountain_car", "--episodes", "2", "--seed", "3", "--out", str(out), "--sigma", "0.2"])
@@ -94,7 +104,18 @@ def test_train_bad_set_value_exits_1(config_file, small_dataset_file, tmp_path, 
     assert "error:" in err and repr(override.split("=")[0]) in err
 
 
-@pytest.mark.parametrize("override", ["seed=-1", "policy_state_cap=-1", "hidden_sizes=-3", "log_std_min=3"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "seed=-1",
+        "policy_state_cap=-1",
+        "hidden_sizes=-3",
+        "log_std_min=3",
+        "learning_rate=nan",
+        "lambda_bc=nan",
+        "tau_nce=inf",
+    ],
+)
 def test_train_out_of_range_set_value_exits_1(config_file, small_dataset_file, tmp_path, capsys, override):
     args = ["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(tmp_path)]
     assert cli(args + ["--set", override]) == 1
@@ -197,3 +218,18 @@ def test_gen_data_bad_env_spec_exits_1(tmp_path, capsys):
     assert cli(["gen-data", "--env", str(spec), "--episodes", "2", "--seed", "0", "--out", str(out)]) == 1
     assert "slip_prb" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "layout"])
+def test_non_utf8_input_exits_1(small_dataset_file, tmp_path, capsys, source):
+    bad = tmp_path / "bad.txt"
+    if source == "config":
+        bad.write_bytes(b"gamma = 0.9\xff\n")
+        args = ["train", "--config", str(bad), "--data", str(small_dataset_file), "--out", str(tmp_path / "run")]
+    else:
+        bad.write_bytes(b"S.\xff\n..G\n")
+        spec = tmp_path / "env.cfg"
+        spec.write_text(f"kind = gridworld\nlayout_file = {bad}\n")
+        args = ["gen-data", "--env", str(spec), "--episodes", "1", "--out", str(tmp_path / "d.dataset")]
+    assert cli(args) == 1
+    assert "not UTF-8" in capsys.readouterr().err

@@ -232,6 +232,20 @@ class TestBehaviorPolicies:
         with pytest.raises(InvalidSpec):
             behavior_policy("bogus")
 
+    @pytest.mark.parametrize(
+        "kind, params, named",
+        [
+            ("epsilon_soft_tabular", dict(mdp=MountainCarEnv(), epsilon=0.3), "MountainCarEnv"),
+            ("epsilon_soft_tabular", dict(mdp=make_chain(3)), "'epsilon'"),
+            ("uniform_random", dict(env=make_chain(3), epsilon=0.3), "'epsilon'"),
+            ("scripted_mountain_car", dict(env=MountainCarEnv(), sigma=0.3), "'env'"),
+        ],
+        ids=["epsilon-soft-car", "epsilon-soft-missing", "uniform-unknown", "scripted-unknown"],
+    )
+    def test_bad_parameter_named(self, kind, params, named):
+        with pytest.raises(InvalidSpec, match=named):
+            behavior_policy(kind, **params)
+
 
 class TestEnvConfig:
     def test_registry_names(self):

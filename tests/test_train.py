@@ -124,6 +124,25 @@ class TestTrainLoop:
         assert [r.fault for r in result.metrics].count(True) == 1
         assert result.metrics[2].fault
 
+    def test_faulted_record_has_wall_time(self, grid_dataset, monkeypatch):
+        # per-step times are differences of wall_time, faulted steps included
+        import occq.training as train_mod
+        from occq.errors import NumericalFault
+
+        real = train_mod.critic_update
+        calls = itertools.count(1)
+
+        def flaky(*args, **kwargs):
+            if next(calls) == 3:
+                raise NumericalFault("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "critic_update", flaky)
+        records = train(tiny_config(), grid_dataset).metrics
+        assert records[2].fault
+        walls = [r.wall_time for r in records]
+        assert all(isinstance(w, float) for w in walls)
+        assert walls == sorted(walls)
 
     @pytest.mark.parametrize("phase", ["update_reward_features", "policy_update"])
     def test_faulted_step_commits_nothing(self, grid_dataset, monkeypatch, phase):
