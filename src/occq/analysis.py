@@ -43,12 +43,11 @@ def ratio_recovery_spearman(
     mdp: TabularMDP,
     behavior_table: np.ndarray,
     anchor_weights: np.ndarray,
-    horizon: int | None = None,
 ) -> tuple[float, int]:
     """Rank agreement between exp(learned logits) and the exact density
     ratio over supported triples (dataset-visited anchors, reachable
     futures).  Returns (rho, number of triples compared)."""
-    table = exact_ratio(mdp, behavior_table, anchor_weights, horizon=horizon)
+    table = exact_ratio(mdp, behavior_table, anchor_weights)
     logits = learned_logit_table(critic, featurizer)
     visited = anchor_weights > 0
     mask = visited[:, :, None] & table.supported[None, None, :]
@@ -69,14 +68,14 @@ def future_sample_pool(dataset: OfflineDataset, gamma: float, rng: np.random.Gen
     return np.concatenate(states), np.concatenate(rewards)
 
 
-def write_q_comparison(path, report: dict, delimiter: str = ","):
-    """Dump a topology report's per-pair values as delimiter-separated rows
+def write_q_comparison(path, report: dict):
+    """Dump a topology report's per-pair values as comma-separated rows
     (state, action, q_learned, q_exact_ratio, q_true) for external plotting."""
     states, actions = report["pairs"]
-    rows = [delimiter.join(["state", "action", "q_learned", "q_exact_ratio", "q_true"])]
+    rows = [",".join(["state", "action", "q_learned", "q_exact_ratio", "q_true"])]
     for i in range(len(states)):
         values = [repr(float(report[key][i])) for key in ("q_learned", "q_control", "q_true")]
-        rows.append(delimiter.join([str(int(states[i])), str(int(actions[i]))] + values))
+        rows.append(",".join([str(int(states[i])), str(int(actions[i]))] + values))
     with replacing(path) as fh:
         fh.write(("\n".join(rows) + "\n").encode("utf-8"))
 
@@ -90,7 +89,6 @@ def q_topology_report(
     gamma: float,
     rng: np.random.Generator,
     n_future_samples: int = 20_000,
-    horizon: int | None = None,
 ) -> dict:
     """Spearman rank agreement of estimated Q against the exact Q over the
     dataset's (s, a) pairs.
@@ -113,12 +111,12 @@ def q_topology_report(
 
     q_learned = q_value_direct(critic, anchor_feats, featurizer.state_feats(pool_states), pool_rewards, gamma)
 
-    table: RatioTable = exact_ratio(mdp, behavior_table, weights, horizon=horizon)
+    table: RatioTable = exact_ratio(mdp, behavior_table, weights)
     ratio_cols = table.ratio[kept_states, kept_actions][:, pool_states]
     ratio_cols = np.nan_to_num(ratio_cols, nan=0.0)  # unsupported futures carry no weight
     q_control = q_weighted(ratio_cols, pool_rewards, gamma)
 
-    q_true = exact_q(mdp, behavior_table, horizon=horizon)[kept_states, kept_actions]
+    q_true = exact_q(mdp, behavior_table)[kept_states, kept_actions]
     return {
         "spearman_learned": spearman(q_learned, q_true),
         "spearman_exact_ratio": spearman(q_control, q_true),

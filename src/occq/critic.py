@@ -107,24 +107,19 @@ def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb):
     return nets.backward(net, cache, d_raw)
 
 
-def _contrastive_logits(critic: CriticParams, anchor_feats, positive_feats, target: bool):
+def _contrastive_logits(critic: CriticParams, anchor_feats, positive_feats):
     if np.atleast_2d(anchor_feats).shape[0] < 2:
         raise BatchTooSmall("need at least two anchors for a contrastive batch")
-    logits, anchor, positive = pair_logits(critic, anchor_feats, positive_feats, target=target)
+    logits, anchor, positive = pair_logits(critic, anchor_feats, positive_feats)
     if not np.all(np.isfinite(logits)):
         raise NumericalFault("non-finite logits")
     return logits, anchor, positive
 
 
-def critic_logits(
-    critic: CriticParams,
-    anchor_feats: np.ndarray,
-    positive_feats: np.ndarray,
-    target: bool = False,
-) -> np.ndarray:
+def critic_logits(critic: CriticParams, anchor_feats: np.ndarray, positive_feats: np.ndarray) -> np.ndarray:
     """K x K similarity matrix: entry (i, j) scores anchor i against
     positive j; the diagonal holds the true pairs."""
-    return _contrastive_logits(critic, anchor_feats, positive_feats, target)[0]
+    return _contrastive_logits(critic, anchor_feats, positive_feats)[0]
 
 
 def _softmax_lse(logits: np.ndarray):
@@ -186,9 +181,7 @@ def critic_update(
     The batch needs no rewards, so reward-free pretraining runs through this
     exact code path.  Returns (critic, adam, metrics).
     """
-    logits, (a_emb, a_raw, a_cache), (p_emb, p_raw, p_cache) = _contrastive_logits(
-        critic, anchor_feats, positive_feats, target=False
-    )
+    logits, (a_emb, a_raw, a_cache), (p_emb, p_raw, p_cache) = _contrastive_logits(critic, anchor_feats, positive_feats)
     loss, reg, dlogits, d_reg = _loss_terms(logits)
     if config.lambda_partition > 0:
         dlogits = dlogits + config.lambda_partition * d_reg

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
 import typing
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -162,7 +163,7 @@ class Trajectory:
     def length(self) -> int:
         return len(self.states)
 
-    def validate(self, horizon: int | None = None):
+    def validate(self, horizon: int):
         if len(self.states) != len(self.actions) + 1:
             raise InvalidSpec("need exactly one more state than actions")
         if self.rewards is not None:
@@ -170,20 +171,23 @@ class Trajectory:
                 raise InvalidSpec("need one reward per action")
             if not np.all(np.isfinite(self.rewards)):
                 raise NumericalFault("non-finite reward in trajectory")
-        if horizon is not None and self.n_steps > horizon:
+        if self.n_steps > horizon:
             raise InvalidSpec(f"trajectory has {self.n_steps} steps, horizon is {horizon}")
 
 
-def _draw(cdf: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw of an index for ``u`` in [0, 1).  A cdf summed in floating point can
-    end just below 1; a ``u`` above its end draws the last index with positive mass."""
-    return int(np.searchsorted(cdf, min(u, cdf[-1])))
+def _draw(cdf: np.ndarray, u):
+    """Inverse-CDF draw for ``u`` in [0, 1): the first index along the last axis of ``cdf``
+    whose cdf reaches ``u``; a cdf (..., K) and ``u`` (...) give indices (...).  A cdf summed
+    in floating point can end just below 1; a ``u`` above its end draws the last index with
+    positive mass."""
+    u = np.minimum(u, cdf[..., -1])
+    return (cdf < u[..., None]).sum(axis=-1)
 
 
 def initial_state(env: Env, rng: np.random.Generator):
     """Sample a start state: tabular from start_dist, car near the valley."""
     if isinstance(env, TabularMDP):
-        return _draw(np.cumsum(env.start_dist), rng.random())
+        return int(_draw(np.cumsum(env.start_dist), rng.random()))
     position = rng.uniform(-0.6, -0.4)
     return np.array([position, 0.0])
 
@@ -201,7 +205,7 @@ def step(env: Env, state, action, rng: np.random.Generator):
         s = int(state)
         if not 0 <= s < env.n_states:
             raise InvalidSpec(f"state {s} outside [0, {env.n_states})")
-        nxt = _draw(np.cumsum(env.transition[s, a]), rng.random())
+        nxt = int(_draw(np.cumsum(env.transition[s, a]), rng.random()))
         return nxt, float(env.reward[nxt]), False
 
     state = np.asarray(state, dtype=np.float64)
@@ -407,7 +411,7 @@ def _epsilon_soft_tabular(mdp: TabularMDP, epsilon: float):
         raise InvalidSpec("epsilon must lie in [0, 1]")
     _, greedy = value_iteration(mdp)
     cdf = np.cumsum(epsilon_soft_table(greedy, epsilon), axis=1)
-    return (lambda state, rng: _draw(cdf[int(state)], rng.random())), f"epsilon_soft(eps={epsilon:g})"
+    return (lambda state, rng: int(_draw(cdf[int(state)], rng.random()))), f"epsilon_soft(eps={epsilon:g})"
 
 
 def _scripted_mountain_car(sigma: float = 0.0):
@@ -515,7 +519,8 @@ def load_env_spec(path) -> Env:
     Required key ``kind`` in {gridworld, chain, mountain_car}; every other
     key is an argument of that kind's factory, typed and defaulted by the
     factory's own signature.  A gridworld spec with ``layout_file`` is
-    built from that ASCII layout.  An unknown key, a bad value or a missing
+    built from that ASCII layout; a relative ``layout_file`` is found from
+    the spec file's directory.  An unknown key, a bad value or a missing
     required argument raises ``InvalidSpec``.
     """
     kv = read_kv(path)
@@ -526,5 +531,5 @@ def load_env_spec(path) -> Env:
     args = {}
     if kind == "gridworld" and "layout_file" in kv:
         factory = gridworld_from_ascii
-        args["layout"] = read_text(kv.pop("layout_file"))
+        args["layout"] = read_text(os.path.join(os.path.dirname(path), kv.pop("layout_file")))
     return _build(factory, path, args, kv)

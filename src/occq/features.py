@@ -29,16 +29,17 @@ class TabularFeaturizer:
         return self.n_actions
 
     def state_feats(self, states) -> np.ndarray:
-        idx = np.asarray(states, dtype=np.int64).reshape(-1)
-        out = np.zeros((len(idx), self.n_states))
-        out[np.arange(len(idx)), idx] = 1.0
-        return out
+        return _one_hot(states, self.n_states)
 
     def action_feats(self, actions) -> np.ndarray:
-        idx = np.asarray(actions, dtype=np.int64).reshape(-1)
-        out = np.zeros((len(idx), self.n_actions))
-        out[np.arange(len(idx)), idx] = 1.0
-        return out
+        return _one_hot(actions, self.n_actions)
+
+
+def _one_hot(values, width: int) -> np.ndarray:
+    idx = np.asarray(values, dtype=np.int64).reshape(-1)
+    out = np.zeros((len(idx), width))
+    out[np.arange(len(idx)), idx] = 1.0
+    return out
 
 
 @dataclass(frozen=True)

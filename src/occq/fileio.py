@@ -30,9 +30,9 @@ def replacing(path):
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; bytes that do not decode raise ``FormatError``."""
+    """The UTF-8 text of ``path``; bytes that do not decode raise ``FormatError`` naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -18,6 +18,9 @@ from .errors import InvalidSpec, NumericalFault, ShapeError
 
 _LN_EPS = 1e-5
 _L2_EPS = 1e-12
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 # Rows that hit the zero-vector guard in l2_normalize since the last reset.
 _L2_DEGENERATE_ROWS = 0
@@ -232,9 +235,6 @@ class AdamState:
     shapes: tuple[tuple[int, ...], ...]
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @property
     def first_moment(self) -> list[np.ndarray]:
@@ -292,8 +292,8 @@ def adam_step(
     if not np.isfinite(norm):
         raise NumericalFault("non-finite gradient; update skipped")
     t = state.step_count + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - _ADAM_BETA1**t
+    c2 = 1.0 - _ADAM_BETA2**t
     # Four whole-buffer updates, each in the operation order of its formula:
     #   g <- g * (max_grad_norm / norm)                 (clipping)
     #   m <- beta1 * m + (1 - beta1) * g
@@ -303,18 +303,18 @@ def adam_step(
     g = np.concatenate([x.reshape(-1) for x in grads])
     if max_grad_norm > 0 and norm > max_grad_norm:
         g *= max_grad_norm / norm
-    m = state.beta1 * state.m
-    step = np.multiply(1.0 - state.beta1, g)
+    m = _ADAM_BETA1 * state.m
+    step = np.multiply(1.0 - _ADAM_BETA1, g)
     m += step
-    v = state.beta2 * state.v
-    np.multiply(1.0 - state.beta2, g, out=step)
+    v = _ADAM_BETA2 * state.v
+    np.multiply(1.0 - _ADAM_BETA2, g, out=step)
     step *= g
     v += step
     np.divide(m, c1, out=step)
     step *= state.learning_rate
     np.divide(v, c2, out=g)
     np.sqrt(g, out=g)
-    g += state.epsilon
+    g += _ADAM_EPS
     step /= g
     new_p = [p - s for p, s in zip(arrays, _split(step, state.shapes))]
     return replace(state, m=m, v=v, step_count=t), new_p, norm

@@ -18,6 +18,8 @@ from .envs import TabularMDP
 from .errors import InvalidSpec
 
 _COND_WARN = 1e8
+_VI_TOL = 1e-12
+_VI_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +27,6 @@ class OccupancyTable:
     """Discounted future-state distribution per (s, a); rows sum to one."""
 
     occupancy: np.ndarray  # (S, A, S)
-    marginal: np.ndarray | None
-    gamma: float
-    horizon: int | None  # None = infinite
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +36,6 @@ class RatioTable:
     ratio: np.ndarray  # (S, A, S)
     marginal: np.ndarray  # (S,)
     supported: np.ndarray  # (S,) bool, marginal > 0
-    gamma: float
-    horizon: int | None
 
 
 def _policy_transition(mdp: TabularMDP, policy_table: np.ndarray) -> np.ndarray:
@@ -82,7 +79,7 @@ def exact_occupancy(mdp: TabularMDP, policy_table: np.ndarray, horizon: int | No
             series += term
         scale = (1.0 - mdp.gamma) / (1.0 - mdp.gamma**horizon)
     occ = scale * np.einsum("sax,xy->say", mdp.transition, series)
-    return OccupancyTable(occupancy=occ, marginal=None, gamma=mdp.gamma, horizon=horizon)
+    return OccupancyTable(occupancy=occ)
 
 
 def exact_q(mdp: TabularMDP, policy_table: np.ndarray, horizon: int | None = None) -> np.ndarray:
@@ -136,7 +133,7 @@ def exact_ratio(
     supported = marginal > 0
     ratio = np.full_like(occ, np.nan)
     ratio[:, :, supported] = occ[:, :, supported] / marginal[supported]
-    return RatioTable(ratio=ratio, marginal=marginal, supported=supported, gamma=mdp.gamma, horizon=horizon)
+    return RatioTable(ratio=ratio, marginal=marginal, supported=supported)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -167,13 +164,13 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / denom)
 
 
-def value_iteration(mdp: TabularMDP, tol: float = 1e-12, max_iter: int = 100_000):
+def value_iteration(mdp: TabularMDP):
     """Optimal Q and its greedy policy table (ties to the lowest index)."""
     Q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(max_iter):
+    for _ in range(_VI_MAX_ITER):
         V = Q.max(axis=1)
         Q_new = mdp.transition @ (mdp.reward + mdp.gamma * V)
-        if np.max(np.abs(Q_new - Q)) < tol:
+        if np.max(np.abs(Q_new - Q)) < _VI_TOL:
             Q = Q_new
             break
         Q = Q_new

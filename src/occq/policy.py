@@ -19,6 +19,7 @@ import numpy as np
 
 from . import nets
 from .config import TrainConfig
+from .envs import _draw
 from .errors import InvalidSpec
 from .nets import AdamState, MLPParams
 
@@ -59,12 +60,8 @@ def init_policy(
     )
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 def _log1m_tanh2(u: np.ndarray) -> np.ndarray:
-    return 2.0 * (np.log(2.0) - u - _softplus(-2.0 * u))
+    return 2.0 * (np.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
 
 
 def _heads(policy: PolicyParams, out: np.ndarray):
@@ -111,11 +108,7 @@ def sample_actions(policy: PolicyParams, state_feats: np.ndarray, rng: np.random
     if policy.discrete:
         logp = _log_softmax(out)
         cdf = np.cumsum(np.exp(logp), axis=1)
-        u = rng.random((state_feats.shape[0], n))
-        actions = np.empty((state_feats.shape[0], n), dtype=np.int64)
-        for i in range(state_feats.shape[0]):
-            actions[i] = np.searchsorted(cdf[i], u[i])
-        actions = np.clip(actions, 0, policy.action_dim - 1)
+        actions = _draw(cdf[:, None, :], rng.random((state_feats.shape[0], n)))
         log_probs = np.take_along_axis(logp, actions, axis=1)
         return actions, log_probs
     mean, log_std, _ = _heads(policy, out)

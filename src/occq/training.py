@@ -72,7 +72,6 @@ def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )
     featurizer = featurizer_for(dataset.space)
-    discrete = dataset.space.action_kind == "index"
     critic = critic_mod.init_critic(
         rng_critic,
         state_dim=featurizer.state_dim,
@@ -87,9 +86,9 @@ def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
     pol = policy_mod.init_policy(
         rng_policy,
         state_dim=featurizer.state_dim,
-        action_dim=(dataset.space.n_actions if discrete else dataset.space.action_dim),
+        action_dim=featurizer.action_dim,
         hidden=config.hidden_sizes,
-        discrete=discrete,
+        discrete=dataset.space.action_kind == "index",
         densenet=config.densenet,
         layernorm=config.layernorm,
         log_std_bounds=(config.log_std_min, config.log_std_max),

@@ -233,3 +233,13 @@ def test_non_utf8_input_exits_1(small_dataset_file, tmp_path, capsys, source):
         args = ["gen-data", "--env", str(spec), "--episodes", "1", "--out", str(tmp_path / "d.dataset")]
     assert cli(args) == 1
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_layout_error_names_the_layout_file(tmp_path, capsys):
+    layout = tmp_path / "layout.txt"
+    layout.write_bytes(b"S.\xff\n..G\n")
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(f"kind = gridworld\nlayout_file = {layout}\n")
+    assert cli(["gen-data", "--env", str(spec), "--episodes", "1", "--out", str(tmp_path / "d.dataset")]) == 1
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(layout) in err

@@ -268,6 +268,18 @@ class TestEnvConfig:
         env = load_env_spec(spec)
         assert env.n_states == 6
 
+    def test_relative_layout_file_found_from_the_spec_directory(self, tmp_path, monkeypatch):
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "layout.txt").write_text("S..\n..G\n")
+        (probe / "env.cfg").write_text("kind = gridworld\nlayout_file = layout.txt\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert make_env("probe/env.cfg").n_states == 6
+        monkeypatch.chdir(elsewhere)
+        assert make_env("../probe/env.cfg").n_states == 6
+
     def test_missing_kind_rejected(self, tmp_path):
         spec = tmp_path / "env.cfg"
         spec.write_text("width = 4\n")

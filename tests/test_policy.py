@@ -105,6 +105,28 @@ class TestSampling:
         assert np.isfinite(loss)
         assert np.isfinite(info["bc_nll"])
 
+    def test_discrete_draw_at_the_top_has_positive_probability(self):
+        # These logits give a cdf that ends at 0.9999999999999998, below a draw of
+        # 1 - 2**-53; the draw must land on action 3, not on action 4 (probability 0).
+        logits = [1.2940638143982073, 1.0067243153057943, -2.7111624789659685, -1.8890132459676727, -1000.0]
+        policy = init_policy(np.random.default_rng(0), 2, 5, (), discrete=True)
+        policy.net.weights[0][:] = 0.0
+        policy.net.biases[0][:] = logits
+        assert policy_table(policy, np.zeros((1, 2)))[0].cumsum()[-1] < 1.0 - 2.0**-53
+        actions, log_probs = sample_actions(policy, np.zeros((2, 2)), _FixedDraw(1.0 - 2.0**-53), 3)
+        assert np.array_equal(actions, np.full((2, 3), 3))
+        assert np.all(log_probs > -10.0)
+
+
+class _FixedDraw:
+    """A generator stand-in whose ``random(size)`` fills its result with ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
 
 class TestKLBoltzmann:
     def _optimize(self, policy, q_fn, states, tau, steps=400, lr=0.05, seed=11):
