@@ -166,20 +166,18 @@ def _dispatch(args) -> int:
             print(f"returns: mean={returns.mean():.3f} std={returns.std():.3f}")
         return 0
 
-    if args.command == "export-plot":
-        records, dropped = load_metrics(args.metrics)
-        fields = [f.strip() for f in args.fields.split(",") if f.strip()]
-        text = export_plot_data(records, fields, delimiter=args.delimiter)
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with replacing(args.out) as fh:
-                fh.write(text.encode("utf-8"))
-        if dropped:
-            print(f"note: dropped {dropped} partial trailing record(s)", file=sys.stderr)
-        return 0
-
-    raise OccqError(f"unhandled command {args.command!r}")
+    # export-plot, the last of the six commands argparse admits
+    records, dropped = load_metrics(args.metrics)
+    fields = [f.strip() for f in args.fields.split(",") if f.strip()]
+    text = export_plot_data(records, fields, delimiter=args.delimiter)
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with replacing(args.out) as fh:
+            fh.write(text.encode("utf-8"))
+    if dropped:
+        print(f"note: dropped {dropped} partial trailing record(s)", file=sys.stderr)
+    return 0
 
 
 def entry():

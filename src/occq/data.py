@@ -14,6 +14,7 @@ the batch so the in-batch negatives are not all from a single trajectory.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -22,7 +23,7 @@ import numpy as np
 
 from .envs import Env, SpaceInfo, Trajectory, rollout
 from .errors import FormatError, InvalidSpec, NumericalFault, RewardRequired, VersionError
-from .fileio import read_text, replacing
+from .fileio import _read_count, read_text, replacing
 from .truncgeom import sample_supports
 
 _MAGIC = "occq-dataset"
@@ -120,8 +121,7 @@ def strip_rewards(dataset: OfflineDataset) -> OfflineDataset:
 
 
 def _episode_pairs(ep: Trajectory, gamma: float, rng: np.random.Generator, include_rewards: bool):
-    n_anchors = ep.n_steps
-    anchor_t = np.arange(n_anchors)
+    anchor_t = np.arange(ep.n_steps)
     supports = (ep.length - 1) - anchor_t  # remaining future states per anchor
     offsets = sample_supports(1.0 - gamma, supports, rng)
     positives = ep.states[anchor_t + offsets]
@@ -143,8 +143,6 @@ def sample_batch(
     Episodes with fewer than two states are skipped and counted in the
     dataset's ``skipped_episodes`` diagnostic.
     """
-    if not dataset.episodes:
-        raise InvalidSpec("empty dataset")
     if include_rewards and not dataset.rewards_available:
         raise RewardRequired("dataset is reward-free")
     if not 0.0 <= gamma < 1.0:
@@ -154,21 +152,13 @@ def sample_batch(
     if not usable:
         raise InvalidSpec("no episode has at least two states")
 
-    def draw_episode(exclude: int | None) -> int | None:
-        if usable == [exclude]:
-            return None
-        while True:
-            i = int(rng.integers(len(dataset.episodes)))
-            if dataset.episodes[i].length < 2:
-                dataset.skipped_episodes += 1
-                continue
-            if i == exclude:
-                continue
-            return i
-
-    first = draw_episode(exclude=None)
-    second = draw_episode(exclude=first)
-    chosen = [first] if second is None else [first, second]
+    chosen: list[int] = []
+    while len(chosen) < min(2, len(usable)):
+        i = int(rng.integers(len(dataset.episodes)))
+        if dataset.episodes[i].length < 2:
+            dataset.skipped_episodes += 1
+        elif i not in chosen:
+            chosen.append(i)
 
     columns = list(zip(*(_episode_pairs(dataset.episodes[i], gamma, rng, include_rewards) for i in chosen)))
     anchor_states, anchor_actions, positives, offsets = map(np.concatenate, columns[:4])
@@ -228,16 +218,8 @@ class _TokenReader:
         self.pos += 1
         return tok
 
-    def take_int(self) -> int:
-        """A non-negative int64: the format stores no negative integer."""
-        tok = self.take()
-        try:
-            value = int(tok)
-        except ValueError:
-            value = -1
-        if not 0 <= value < 2**63:
-            raise FormatError(f"expected non-negative int64, got {tok!r}", line=self.line)
-        return value
+    def take_int(self, bound: int = 2**63) -> int:
+        return _read_count(self.take(), self.line, bound)
 
     def take_float(self) -> float:
         tok = self.take()
@@ -251,12 +233,19 @@ class _TokenReader:
             raise FormatError("trailing tokens", line=self.line)
 
 
-def _read_array(reader: _TokenReader, kind: str, width: int) -> np.ndarray:
+def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63) -> np.ndarray:
     n = reader.take_int()
     if kind == "index":
-        return np.array([reader.take_int() for _ in range(n)], dtype=np.int64)
+        return np.array([reader.take_int(bound) for _ in range(n)], dtype=np.int64)
     vals = np.array([reader.take_float() for _ in range(n * width)], dtype=np.float64)
     return vals.reshape(n, width)
+
+
+def _inside(space: SpaceInfo, episodes: list[Trajectory]) -> bool:
+    """Whether every state and action of ``episodes`` lies within the vector ``space``'s bounds."""
+    bounds = ((space.state_low, space.state_high), (space.action_low, space.action_high))
+    columns = (np.concatenate([getattr(ep, k) for ep in episodes]) for k in ("states", "actions"))
+    return all(np.all((np.array(lo) <= x) & (x <= np.array(hi))) for x, (lo, hi) in zip(columns, bounds))
 
 
 _BOUNDS = ("state_low", "state_high", "action_low", "action_high")  # a vector space's bounds, in file order
@@ -272,12 +261,15 @@ def _space_tokens(s: SpaceInfo) -> list[str]:
 def _read_space(reader: _TokenReader) -> SpaceInfo:
     kind = reader.take()
     if kind == "index":
-        return SpaceInfo("index", "index", n_states=reader.take_int(), n_actions=reader.take_int())
+        return SpaceInfo("index", n_states=reader.take_int(), n_actions=reader.take_int())
     if kind != "vector":
         raise FormatError(f"unknown space kind {kind!r}", line=reader.line)
     sd, ad = reader.take_int(), reader.take_int()
     bounds = {name: tuple(reader.take_float() for _ in range(n)) for name, n in zip(_BOUNDS, (sd, sd, ad, ad))}
-    return SpaceInfo("vector", "vector", state_dim=sd, action_dim=ad, **bounds)
+    lows, highs = bounds["state_low"] + bounds["action_low"], bounds["state_high"] + bounds["action_high"]
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(lows, highs)):
+        raise FormatError("space bounds must be finite, each low below its high", line=reader.line)
+    return SpaceInfo("vector", state_dim=sd, action_dim=ad, **bounds)
 
 
 # The header lines after the magic line, in file order: (key, the dataset's
@@ -286,7 +278,7 @@ _HEADER = (
     ("env_id", lambda d: d.env_id.replace(" ", "_"), _TokenReader.take),
     ("gamma", lambda d: _hex(d.gamma), _TokenReader.take_float),
     ("horizon", lambda d: str(d.horizon), _TokenReader.take_int),
-    ("rewards_available", lambda d: str(int(d.rewards_available)), lambda r: bool(r.take_int())),
+    ("rewards_available", lambda d: str(int(d.rewards_available)), lambda r: bool(r.take_int(2))),
     ("behavior", lambda d: d.behavior_descriptor.replace(" ", "_"), _TokenReader.take),
     ("space", lambda d: " ".join(_space_tokens(d.space)), _read_space),
     ("episodes", lambda d: str(d.n_episodes), _TokenReader.take_int),
@@ -302,7 +294,7 @@ def save(dataset: OfflineDataset, path):
     for ep in dataset.episodes:
         out: list[str] = []
         _write_array(out, ep.states, dataset.space.state_kind)
-        _write_array(out, ep.actions, dataset.space.action_kind)
+        _write_array(out, ep.actions, dataset.space.state_kind)
         _write_array(out, np.empty(0) if ep.rewards is None else ep.rewards, "vector")
         out.append(str(int(ep.terminal)))
         buf.write(" ".join(out) + "\n")
@@ -322,7 +314,8 @@ def _header(lines: list[str], idx: int, key: str, take):
 
 
 def load(path) -> OfflineDataset:
-    """Read a dataset written by ``save``; exact field-by-field inverse."""
+    """Read a dataset written by ``save``; exact field-by-field inverse.  An index or value
+    that does not fit the header's space raises ``FormatError`` naming its line."""
     lines = read_text(path).splitlines()
     if not lines:
         raise FormatError("empty file", line=1)
@@ -340,14 +333,19 @@ def load(path) -> OfflineDataset:
     episodes = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
         reader = _TokenReader(line.split(), line=lineno)
-        states = _read_array(reader, space.state_kind, space.state_dim)
-        actions = _read_array(reader, space.action_kind, space.action_dim)
+        states = _read_array(reader, space.state_kind, space.state_dim, space.n_states)
+        actions = _read_array(reader, space.state_kind, space.action_dim, space.n_actions)
         rewards = _read_array(reader, "vector", 1).reshape(-1)
-        terminal = bool(reader.take_int())
+        terminal = bool(reader.take_int(2))
         reader.done()
         if not rewards_available and not rewards.size:
             rewards = None
         episodes.append(Trajectory(states=states, actions=actions, rewards=rewards, terminal=terminal))
+    # Index values were bounded token by token.  Vector values are checked for the whole file at
+    # once, and episode by episode only to find the line of the first one outside the space.
+    if space.state_kind == "vector" and episodes and not _inside(space, episodes):
+        bad = next(i for i, ep in enumerate(episodes) if not _inside(space, [ep]))
+        raise FormatError("state or action outside the space's bounds", line=body + 1 + bad)
     try:
         return OfflineDataset(
             episodes=episodes,

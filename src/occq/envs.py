@@ -40,8 +40,7 @@ _PROB_TOL = 1e-9
 class SpaceInfo:
     """Shape metadata for an environment's state and action spaces."""
 
-    state_kind: str  # "index" | "vector"
-    action_kind: str  # "index" | "vector"
+    state_kind: str  # "index" | "vector"; actions are of the same kind
     n_states: int = 0
     n_actions: int = 0
     state_dim: int = 0
@@ -96,7 +95,6 @@ class TabularMDP:
     def space(self) -> SpaceInfo:
         return SpaceInfo(
             state_kind="index",
-            action_kind="index",
             n_states=self.n_states,
             n_actions=self.n_actions,
         )
@@ -128,7 +126,6 @@ class MountainCarEnv:
     def space(self) -> SpaceInfo:
         return SpaceInfo(
             state_kind="vector",
-            action_kind="vector",
             state_dim=2,
             action_dim=1,
             state_low=(self.min_position, -self.max_speed),
@@ -362,26 +359,13 @@ def gridworld_from_ascii(
     if any(len(r) != width for r in rows):
         raise InvalidSpec("layout rows must have equal length")
     height = len(rows)
-    cells = {}
-    goal = None
-    starts = []
-    for r in range(height):
-        for c in range(width):
-            ch = rows[r][c]
-            if ch == "#":
-                continue
-            if ch not in ".GS":
-                raise InvalidSpec(f"unknown layout character {ch!r}")
-            idx = len(cells)
-            cells[(r, c)] = idx
-            if ch == "G":
-                if goal is not None:
-                    raise InvalidSpec("layout must contain exactly one goal")
-                goal = idx
-            elif ch == "S":
-                starts.append(idx)
-    if goal is None:
-        raise InvalidSpec("layout must contain a goal cell")
+    free = [(r, c) for r in range(height) for c in range(width) if rows[r][c] != "#"]
+    kinds = [rows[r][c] for r, c in free]
+    if not set(kinds) <= set(".GS") or kinds.count("G") != 1:
+        raise InvalidSpec(f"layout needs one 'G' and only '.#GS' cells, got {''.join(sorted(set(kinds)))!r}")
+    cells = {cell: idx for idx, cell in enumerate(free)}
+    goal = kinds.index("G")
+    starts = [idx for idx, ch in enumerate(kinds) if ch == "S"]
     env_id = f"gridworld-ascii-{width}x{height}-goal{goal}-slip{slip_prob:g}"
     return _grid_mdp(cells, goal, starts, step_reward, goal_reward, slip_prob, gamma, horizon, env_id)
 

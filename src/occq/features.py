@@ -46,15 +46,11 @@ def _one_hot(values, width: int) -> np.ndarray:
 class ContinuousFeaturizer:
     state_center: tuple[float, ...]
     state_halfrange: tuple[float, ...]
-    n_action_dims: int
+    action_dim: int
 
     @property
     def state_dim(self) -> int:
         return len(self.state_center)
-
-    @property
-    def action_dim(self) -> int:
-        return self.n_action_dims
 
     def state_feats(self, states) -> np.ndarray:
         x = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -70,14 +66,12 @@ Featurizer = TabularFeaturizer | ContinuousFeaturizer
 def featurizer_for(space: SpaceInfo) -> Featurizer:
     if space.state_kind == "index":
         return TabularFeaturizer(n_states=space.n_states, n_actions=space.n_actions)
-    if space.state_kind == "vector":
-        low = np.array(space.state_low)
-        high = np.array(space.state_high)
-        if len(low) != space.state_dim or np.any(high <= low):
-            raise InvalidSpec("vector space needs consistent low/high bounds")
-        return ContinuousFeaturizer(
-            state_center=tuple((low + high) / 2.0),
-            state_halfrange=tuple((high - low) / 2.0),
-            n_action_dims=space.action_dim,
-        )
-    raise InvalidSpec(f"unknown state kind {space.state_kind!r}")
+    low = np.array(space.state_low)
+    high = np.array(space.state_high)
+    if len(low) != space.state_dim or not np.all(low < high):
+        raise InvalidSpec("vector space needs consistent low/high bounds")
+    return ContinuousFeaturizer(
+        state_center=tuple((low + high) / 2.0),
+        state_halfrange=tuple((high - low) / 2.0),
+        action_dim=space.action_dim,
+    )

@@ -36,3 +36,15 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _read_count(token: str, line: int | None, bound: int = 2**63) -> int:
+    """``token`` as a decimal integer in [0, ``bound``), an int64 by default; anything else
+    raises ``FormatError`` at ``line``.  The text formats store no negative integer."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if not 0 <= value < bound:
+        raise FormatError(f"expected an integer in [0, {bound}), got {token!r}", line=line)
+    return value

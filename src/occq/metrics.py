@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import FormatError
-from .fileio import read_text
+from .fileio import _read_count, read_text
 
 
 @dataclass
@@ -41,10 +41,10 @@ class MetricsRecord:
         values = {}
         for token in line.split():
             key, sep, raw = token.partition("=")
-            if not sep or key not in _SERIALIZED:
-                raise FormatError(f"bad metrics token {token!r}", line=lineno)
+            if not sep or key not in _SERIALIZED or key in values:
+                raise FormatError(f"bad or repeated metrics token {token!r}", line=lineno)
             try:
-                values[key] = _INTS.get(key, float.fromhex)(raw)
+                values[key] = _INTS[key](raw, lineno) if key in _INTS else float.fromhex(raw)
             except (ValueError, OverflowError):
                 raise FormatError(f"bad value for {key!r}: {raw!r}", line=lineno) from None
         if "step" not in values or "epoch" not in values:
@@ -54,7 +54,7 @@ class MetricsRecord:
 
 # The fields a line holds, in order, and the readers of the integer ones.
 _SERIALIZED = [f.name for f in fields(MetricsRecord) if f.name != "wall_time"]
-_INTS = {"step": int, "epoch": int, "fault": lambda raw: bool(int(raw))}
+_INTS = {"step": _read_count, "epoch": _read_count, "fault": lambda raw, line: bool(_read_count(raw, line, 2))}
 
 
 class MetricsWriter:

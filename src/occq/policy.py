@@ -21,6 +21,7 @@ from . import nets
 from .config import TrainConfig
 from .envs import _draw
 from .errors import InvalidSpec
+from .features import _one_hot
 from .nets import AdamState, MLPParams
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -172,7 +173,7 @@ def kl_boltzmann_loss(
         p = np.exp(logp)
         # One call scores every (state, action) pair; no dQ/da, so use ``values`` if offered.
         tiled_states = np.repeat(state_feats, na, axis=0)
-        tiled_actions = np.tile(np.eye(na), (n, 1))
+        tiled_actions = _one_hot(np.tile(np.arange(na), n), na)
         values = getattr(q_fn, "values", None)
         q_flat = values(tiled_states, tiled_actions) if values else q_fn(tiled_states, tiled_actions)[0]
         q = q_flat.reshape(n, na)
@@ -228,7 +229,7 @@ def bc_loss(
         nll = -float(logp[np.arange(n), idx].mean())
         entropy = -float((p * logp).sum(axis=1).mean())
         loss = nll - entropy_coeff * entropy
-        dlogits = (p - np.eye(policy.action_dim)[idx]) / n
+        dlogits = (p - _one_hot(idx, policy.action_dim)) / n
         if entropy_coeff > 0:
             # d(-H)/d logits = p * (logp - sum_b p_b logp_b) / n
             d_neg_h = p * (logp - (p * logp).sum(axis=1, keepdims=True)) / n

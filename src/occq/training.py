@@ -68,6 +68,8 @@ class RunState:
 
 
 def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
+    if config.use_rff and not config.l2_normalize:
+        raise InvalidSpec("use_rff needs l2_normalize: the random features approximate exp(x . y) only at unit norm")
     rng_critic, rng_policy, rng_rff, rng_data, rng_actions = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )
@@ -88,7 +90,7 @@ def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
         state_dim=featurizer.state_dim,
         action_dim=featurizer.action_dim,
         hidden=config.hidden_sizes,
-        discrete=dataset.space.action_kind == "index",
+        discrete=dataset.space.state_kind == "index",
         densenet=config.densenet,
         layernorm=config.layernorm,
         log_std_bounds=(config.log_std_min, config.log_std_max),

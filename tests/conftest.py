@@ -68,3 +68,13 @@ def reference_value_iteration(P, r, gamma, iters=10_000, tol=1e-12):
             return nxt
         Q = nxt
     return Q
+
+
+def replace_token(path, line_index, token_index, value):
+    """Rewrite text file ``path`` with one whitespace-separated token of line ``line_index`` replaced."""
+    lines = path.read_text().splitlines()
+    tokens = lines[line_index].split()
+    tokens[token_index] = value
+    lines[line_index] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    return path

@@ -7,6 +7,8 @@ from occq.cli import cli
 from occq.config import config_to_kv, TrainConfig
 from occq.data import load, save
 
+from conftest import replace_token
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -243,3 +245,42 @@ def test_non_utf8_layout_error_names_the_layout_file(tmp_path, capsys):
     assert cli(["gen-data", "--env", str(spec), "--episodes", "1", "--out", str(tmp_path / "d.dataset")]) == 1
     err = capsys.readouterr().err
     assert "not UTF-8" in err and str(layout) in err
+
+
+@pytest.mark.parametrize("command", ["train", "inspect"])
+@pytest.mark.parametrize("field, value", [("state", "99"), ("action", "9")])
+def test_dataset_outside_its_space_exits_1(config_file, small_dataset_file, tmp_path, capsys, command, field, value):
+    n_states = int(small_dataset_file.read_text().splitlines()[8].split()[0])
+    # The first state follows the state count; the first action follows the states and the action count.
+    token_index = 1 if field == "state" else n_states + 2
+    bad = tmp_path / "bad.dataset"
+    bad.write_bytes(small_dataset_file.read_bytes())
+    replace_token(bad, 8, token_index, value)
+    if command == "train":
+        args = ["train", "--config", str(config_file), "--data", str(bad), "--out", str(tmp_path / "run")]
+    else:
+        args = ["inspect", "--data", str(bad)]
+    assert cli(args) == 1
+    assert "line 9" in capsys.readouterr().err
+
+
+def test_mountain_car_state_inf_exits_1(config_file, tmp_path, capsys):
+    car = tmp_path / "car.dataset"
+    assert cli(["gen-data", "--env", "mountain_car", "--episodes", "2", "--seed", "3", "--out", str(car)]) == 0
+    replace_token(car, 9, 1, "inf")  # the first state of the second episode
+    assert cli(["train", "--config", str(config_file), "--data", str(car), "--out", str(tmp_path / "run")]) == 1
+    assert "line 10" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_rff_without_l2_normalize_exits_1(config_file, small_dataset_file, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    data = ["--data", str(small_dataset_file)]
+    if command == "pretrain":
+        data = ["--unlabeled", str(small_dataset_file), "--labeled", str(small_dataset_file), "--pretrain-steps", "2"]
+    args = [command, "--config", str(config_file), *data, "--out", str(out)]
+    assert cli(args + ["--set", "use_rff=true", "--set", "l2_normalize=false"]) == 1
+    assert "l2_normalize" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first step
+    assert cli(args + ["--set", "use_rff=false", "--set", "l2_normalize=false"]) == 0

@@ -19,6 +19,8 @@ from occq.envs import MountainCarEnv, Trajectory, behavior_policy, make_chain
 from occq.errors import FormatError, InvalidSpec, RewardRequired, VersionError
 from occq.truncgeom import sample_supports
 
+from conftest import replace_token
+
 
 @pytest.fixture
 def chain_dataset(chain):
@@ -169,6 +171,66 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "d.txt"
         save(ds, path)
         assert load(path) == ds
+
+
+def _first_token(path, line_index, field, state_dim=1):
+    """Token index of the first state or action on episode line ``line_index`` of dataset file
+    ``path``.  The line holds the state count, the states, the action count, the actions, ..."""
+    n_states = int(path.read_text().splitlines()[line_index].split()[0])
+    return 1 if field == "state" else n_states * state_dim + 2
+
+
+class TestSpaceFit:
+    """Values that do not fit the dataset's space are a ``FormatError`` naming their line."""
+
+    @pytest.mark.parametrize("field, value", [("state", "2"), ("state", "99"), ("action", "2"), ("action", "9")])
+    def test_index_outside_space(self, chain_dataset, tmp_path, field, value):
+        path = tmp_path / "d.txt"
+        save(chain_dataset, path)
+        replace_token(path, 10, _first_token(path, 10, field), value)
+        with pytest.raises(FormatError, match="line 11"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("state", "inf"), ("state", "-inf"), ("state", "nan"), ("state", "0x1p+4"), ("action", "0x1.8p+0")],
+    )
+    def test_vector_value_outside_space(self, car_dataset, tmp_path, field, value):
+        path = tmp_path / "d.txt"
+        save(car_dataset, path)
+        replace_token(path, 9, _first_token(path, 9, field, state_dim=2), value)
+        with pytest.raises(FormatError, match="line 10"):
+            load(path)
+
+    def test_values_on_the_bounds_load(self, car_dataset, tmp_path):
+        space = car_dataset.space
+        for ep in car_dataset.episodes:
+            ep.states[0] = [space.state_low[0], space.state_high[1]]
+            ep.actions[:1] = space.action_low
+        path = tmp_path / "d.txt"
+        save(car_dataset, path)
+        assert load(path) == car_dataset
+
+    @pytest.mark.parametrize(
+        "token_index, value",
+        # space vector 2 1, then the state lows (2), the state highs (2), the action low and high
+        [(4, "nan"), (5, "-inf"), (6, "-0x1.3333333333333p+0"), (9, "-0x1p+0")],
+        ids=["nan-low", "inf-low", "high-equals-low", "action-high-equals-low"],
+    )
+    def test_bad_space_bounds(self, car_dataset, tmp_path, token_index, value):
+        path = tmp_path / "d.txt"
+        save(car_dataset, path)
+        replace_token(path, 6, token_index, value)
+        with pytest.raises(FormatError, match="line 7"):
+            load(path)
+
+    @pytest.mark.parametrize("line_index, token_index", [(4, 1), (8, -1)], ids=["rewards_available", "terminal"])
+    def test_flags_other_than_0_or_1(self, chain_dataset, tmp_path, line_index, token_index):
+        path = tmp_path / "d.txt"
+        save(chain_dataset, path)
+        replace_token(path, line_index, token_index, "2")
+        with pytest.raises(FormatError, match=f"line {line_index + 1}"):
+            load(path)
 
 
 class TestStripRewards:

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occq.envs import (
+    DOWN,
+    LEFT,
+    RIGHT,
     MountainCarEnv,
     TabularMDP,
     behavior_policy,
@@ -187,6 +190,32 @@ class TestGridworld:
         assert grid.start_dist[0] == 1.0
         # walking into the wall from the cell above leaves the agent in place
         assert grid.transition[1, 2, 1] == 1.0  # DOWN from top-middle hits '#'
+
+    def test_ascii_without_walls_matches_make_gridworld(self):
+        ascii_grid = gridworld_from_ascii("....\n....\n..G.\n", slip_prob=0.1, gamma=0.9, horizon=20)
+        grid = make_gridworld(4, 3, goal_cell=10, slip_prob=0.1, gamma=0.9, horizon=20)
+        for name in ("transition", "reward", "start_dist"):
+            assert np.array_equal(getattr(ascii_grid, name), getattr(grid, name))
+
+    def test_ascii_walls_and_starts_pinned(self):
+        # Free cells are numbered row-major, skipping walls:
+        #   S . # .      0 1 - 2
+        #   # . . S  ->  - 3 4 5
+        #   . # G .      6 - 7 8
+        grid = gridworld_from_ascii("S.#.\n#..S\n.#G.\n")
+        assert grid.n_states == 9
+        assert grid.env_id == "gridworld-ascii-4x3-goal7-slip0"
+        assert np.flatnonzero(grid.start_dist).tolist() == [0, 5]
+        assert np.flatnonzero(grid.reward).tolist() == [7]
+        assert np.all(grid.transition[7, :, 7] == 1.0)
+        assert grid.transition[1, RIGHT, 1] == 1.0  # into the wall at (0, 2)
+        assert grid.transition[2, DOWN, 5] == 1.0
+        assert grid.transition[8, LEFT, 7] == 1.0
+
+    @pytest.mark.parametrize("layout", ["G.G\n", "S.x\n..G\n"], ids=["two-goals", "unknown-character"])
+    def test_ascii_bad_layout_rejected(self, layout):
+        with pytest.raises(InvalidSpec):
+            gridworld_from_ascii(layout)
 
     def test_ascii_requires_goal(self):
         with pytest.raises(InvalidSpec):

@@ -65,6 +65,28 @@ class TestMetrics:
         with pytest.raises(FormatError):
             MetricsRecord.from_line("step=1 epoch=0 critic_loss=0x1p2000")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "step=1 epoch=0 step=2",
+            "step=1 epoch=0 epoch=1",
+            "step=1 epoch=0 critic_loss=0x1p+0 critic_loss=0x1p+1",
+            "step=-3 epoch=0",
+            "step=1 epoch=-1",
+            "step=9223372036854775808 epoch=0",
+            "step=1 epoch=0 fault=7",
+            "step=1 epoch=0 fault=-1",
+        ],
+    )
+    def test_line_the_writer_never_writes_rejected(self, line):
+        with pytest.raises(FormatError, match="line 4"):
+            MetricsRecord.from_line(line, lineno=4)
+
+    def test_fault_flag_round_trips_as_bool(self):
+        for fault in (False, True):
+            parsed = MetricsRecord.from_line(sample_record(fault=fault).to_line())
+            assert parsed.fault is fault
+
     def test_blank_torn_tail_keeps_the_last_record(self, tmp_path):
         path = tmp_path / "metrics.log"
         path.write_text("step=1 epoch=0\nstep=2 epoch=0\n  ")
