@@ -22,7 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from .envs import Env, SpaceInfo, Trajectory, rollout
-from .errors import FormatError, InvalidSpec, NumericalFault, RewardRequired, VersionError
+from .errors import FormatError, InvalidSpec, RewardRequired, VersionError
 from .fileio import _read_count, read_text, replacing
 from .truncgeom import sample_supports
 
@@ -196,13 +196,22 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
+# Each array kind's element type and the text of one element.
+_ELEMENT = {"index": (np.int64, str), "vector": (np.float64, float.hex)}
+
+
 def _write_array(out: list[str], arr: np.ndarray, kind: str):
-    flat = arr.reshape(-1)
+    dtype, text = _ELEMENT[kind]
     out.append(str(arr.shape[0]))
-    if kind == "index":
-        out.extend(str(int(v)) for v in flat)
-    else:
-        out.extend(_hex(v) for v in flat)
+    out.extend(map(text, arr.astype(dtype, copy=False).reshape(-1).tolist()))
+
+
+def _hex_float(token: str, line: int) -> float:
+    """``token`` as a C99 hex float; anything else raises ``FormatError`` at ``line``."""
+    try:
+        return float.fromhex(token)
+    except (ValueError, OverflowError):
+        raise FormatError(f"expected hex float, got {token!r}", line=line) from None
 
 
 class _TokenReader:
@@ -222,11 +231,7 @@ class _TokenReader:
         return _read_count(self.take(), self.line, bound)
 
     def take_float(self) -> float:
-        tok = self.take()
-        try:
-            return float.fromhex(tok)
-        except (ValueError, OverflowError):
-            raise FormatError(f"expected hex float, got {tok!r}", line=self.line) from None
+        return _hex_float(self.take(), self.line)
 
     def done(self):
         if self.pos != len(self.tokens):
@@ -234,11 +239,31 @@ class _TokenReader:
 
 
 def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63) -> np.ndarray:
+    """A count ``n``, then ``n`` indices in [0, ``bound``) or ``n`` rows of ``width`` hex floats.
+
+    The tokens are converted in one pass; only when that fails are they checked one by one,
+    to name the first bad token.  A count beyond the line's end is a truncated record."""
     n = reader.take_int()
-    if kind == "index":
-        return np.array([reader.take_int(bound) for _ in range(n)], dtype=np.int64)
-    vals = np.array([reader.take_float() for _ in range(n * width)], dtype=np.float64)
-    return vals.reshape(n, width)
+    size = n if kind == "index" else n * width
+    tokens = reader.tokens[reader.pos : reader.pos + size]
+    reader.pos += len(tokens)
+    try:
+        if kind == "index":
+            values = list(map(int, tokens))
+            if values and not 0 <= min(values) <= max(values) < bound:
+                raise ValueError
+        else:
+            values = list(map(float.fromhex, tokens))
+    except (ValueError, OverflowError):
+        for tok in tokens:  # raises at the first bad token
+            if kind == "index":
+                _read_count(tok, reader.line, bound)
+            else:
+                _hex_float(tok, reader.line)
+    if len(tokens) < size:
+        raise FormatError("truncated record", line=reader.line)
+    arr = np.array(values, dtype=_ELEMENT[kind][0])
+    return arr if kind == "index" else arr.reshape(n, width)
 
 
 def _inside(space: SpaceInfo, episodes: list[Trajectory]) -> bool:
@@ -315,7 +340,8 @@ def _header(lines: list[str], idx: int, key: str, take):
 
 def load(path) -> OfflineDataset:
     """Read a dataset written by ``save``; exact field-by-field inverse.  An index or value
-    that does not fit the header's space raises ``FormatError`` naming its line."""
+    that does not fit the header's space, or a non-finite reward, raises ``FormatError``
+    naming its line."""
     lines = read_text(path).splitlines()
     if not lines:
         raise FormatError("empty file", line=1)
@@ -338,10 +364,12 @@ def load(path) -> OfflineDataset:
         rewards = _read_array(reader, "vector", 1).reshape(-1)
         terminal = bool(reader.take_int(2))
         reader.done()
+        if not np.isfinite(rewards).all():
+            raise FormatError("non-finite reward", line=lineno)
         if not rewards_available and not rewards.size:
             rewards = None
         episodes.append(Trajectory(states=states, actions=actions, rewards=rewards, terminal=terminal))
-    # Index values were bounded token by token.  Vector values are checked for the whole file at
+    # Index values were bounded as each array was read.  Vector values are checked for the whole file at
     # once, and episode by episode only to find the line of the first one outside the space.
     if space.state_kind == "vector" and episodes and not _inside(space, episodes):
         bad = next(i for i, ep in enumerate(episodes) if not _inside(space, [ep]))
@@ -356,5 +384,5 @@ def load(path) -> OfflineDataset:
             behavior_descriptor=behavior,
             space=space,
         )
-    except (InvalidSpec, NumericalFault) as exc:
+    except InvalidSpec as exc:
         raise FormatError(f"inconsistent dataset: {exc}") from exc

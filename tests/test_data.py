@@ -35,6 +35,12 @@ def car_dataset():
     return generate_dataset(env, controller, n_episodes=4, seed=7)
 
 
+@pytest.fixture
+def grid_dataset(grid5):
+    policy = behavior_policy("uniform_random", env=grid5)
+    return generate_dataset(grid5, policy, n_episodes=4, seed=3)
+
+
 class TestGenerate:
     def test_zero_episodes_rejected(self, chain):
         policy = behavior_policy("uniform_random", env=chain)
@@ -147,6 +153,16 @@ class TestRoundTrip:
         with pytest.raises(FormatError):
             load(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reward_names_its_line(self, chain_dataset, tmp_path, value):
+        path = tmp_path / "data.txt"
+        save(chain_dataset, path)
+        replace_token(path, 9, -2, value)  # the second episode's last reward
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert exc.value.line == 10
+        assert str(exc.value) == "line 10: non-finite reward"
+
     def test_undecodable_file_rejected(self, chain_dataset, tmp_path):
         path = tmp_path / "data.txt"
         save(chain_dataset, path)
@@ -231,6 +247,54 @@ class TestSpaceFit:
         replace_token(path, line_index, token_index, "2")
         with pytest.raises(FormatError, match=f"line {line_index + 1}"):
             load(path)
+
+
+def _put(array, offset, value):
+    """An edit of an episode record: the token ``offset`` places after the count of ``array``
+    (0 states, 1 actions, 2 rewards) becomes ``value``; offset 0 is the count itself."""
+
+    def edit(tokens, state_width):
+        actions = 1 + int(tokens[0]) * state_width
+        counts = (0, actions, actions + 1 + int(tokens[actions]))  # actions take one token each
+        tokens[counts[array] + offset] = value
+
+    return edit
+
+
+def _append(value):
+    return lambda tokens, state_width: tokens.append(value)
+
+
+class TestRejections:
+    """Each rejection of a damaged episode record, pinned to its exact message and line."""
+
+    @pytest.mark.parametrize(
+        "dataset, edits, message",
+        [
+            ("car_dataset", [_put(0, 61, "0x1.zp+0")], "expected hex float, got '0x1.zp+0'"),
+            ("grid_dataset", [_put(1, 3, "1.5")], "expected an integer in [0, 4), got '1.5'"),
+            ("grid_dataset", [_put(1, 3, "4")], "expected an integer in [0, 4), got '4'"),
+            ("car_dataset", [_put(2, 0, "99999")], "truncated record"),
+            ("car_dataset", [_put(2, 0, "99999"), _put(2, 5, "zz")], "expected hex float, got 'zz'"),
+            ("grid_dataset", [_append("0")], "trailing tokens"),
+        ],
+        ids=["bad-hex-float", "non-integer-index", "index-out-of-range", "count-past-line-end",
+             "bad-token-before-truncation", "trailing-tokens"],
+    )
+    def test_message_and_line(self, request, tmp_path, dataset, edits, message):
+        ds = request.getfixturevalue(dataset)
+        path = tmp_path / "d.txt"
+        save(ds, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[9].split()
+        for edit in edits:
+            edit(tokens, ds.space.state_dim or 1)
+        lines[9] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert exc.value.line == 10
+        assert str(exc.value) == f"line 10: {message}"
 
 
 class TestStripRewards:

@@ -5,7 +5,8 @@ header/field swaps: two lines exchanged, one field replaced by another of the
 file's fields or by an awkward token (negative, huge, non-finite, overflowing,
 not UTF-8).  The reader may accept the result or raise ``FormatError`` or
 ``VersionError``; any other exception fails the test.  The ``@example`` inputs
-are damaged files that once escaped as other exception types.
+are damaged files that once escaped as other exception types.  Undamaged
+datasets drawn at random must come back from ``save`` then ``load`` bit for bit.
 """
 
 import contextlib
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occq.checkpoint import load_checkpoint, save_checkpoint
-from occq.data import load, save
+from occq.data import OfflineDataset, load, save
+from occq.envs import SpaceInfo, Trajectory
 from occq.errors import FormatError, VersionError
 from occq.metrics import load_metrics
 
@@ -147,6 +149,57 @@ def test_dataset_seeds_load_and_save_back(scratch, seed):
     scratch.write_bytes(seed)
     save(load(scratch), scratch)
     assert scratch.read_bytes() == seed
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+@st.composite
+def _datasets(draw):
+    """Small datasets of either space kind.  Vector values include the space's bounds, both
+    zeros and subnormals; index values include 0 and n - 1."""
+    if draw(st.booleans()):
+        sizes = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        space = SpaceInfo("index", n_states=sizes[0], n_actions=sizes[1])
+        values = [st.sampled_from([0, n - 1]) | st.integers(0, n - 1) for n in sizes]
+        shape, dtype = (), np.int64
+    else:
+        dims = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        lows = [tuple(draw(st.floats(-1e300, -TINY)) for _ in range(d)) for d in dims]
+        highs = [tuple(draw(st.floats(TINY, 1e300)) for _ in range(d)) for d in dims]
+        space = SpaceInfo("vector", state_dim=dims[0], action_dim=dims[1], state_low=lows[0],
+                          state_high=highs[0], action_low=lows[1], action_high=highs[1])
+        values = [
+            st.tuples(*(st.sampled_from([lo, hi, 0.0, -0.0, TINY, -TINY]) | st.floats(lo, hi) for lo, hi in zip(*b)))
+            for b in zip(lows, highs)
+        ]
+        shape, dtype = dims, np.float64
+
+    def array(k, rows):
+        """``rows`` states (``k`` 0) or actions (``k`` 1)."""
+        drawn = draw(st.lists(values[k], min_size=rows, max_size=rows))
+        return np.array(drawn, dtype=dtype).reshape((rows, *shape[k:k + 1]))
+
+    rewarded = draw(st.booleans())
+    reward = st.sampled_from([0.0, -0.0, TINY, -TINY]) | st.floats(allow_nan=False, allow_infinity=False)
+    episodes = []
+    for steps in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+        rewards = np.array(draw(st.lists(reward, min_size=steps, max_size=steps)), dtype=np.float64)
+        terminal = draw(st.booleans())
+        episodes.append(Trajectory(array(0, steps + 1), array(1, steps), rewards if rewarded else None, terminal))
+    gamma = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return OfflineDataset(episodes, "drawn", gamma, 4, rewarded, "drawn", space)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(dataset=_datasets())
+def test_dataset_save_load_is_bit_exact(scratch, dataset):
+    save(dataset, scratch)
+    loaded = load(scratch)
+    assert loaded == dataset
+    for a, b in zip(loaded.episodes, dataset.episodes):
+        for x, y in zip((a.states, a.actions, a.rewards), (b.states, b.actions, b.rewards)):
+            assert x is y is None or (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 def test_checkpoint_seed_is_what_save_checkpoint_writes(scratch):
