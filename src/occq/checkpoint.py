@@ -36,9 +36,6 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str]):
             arr = np.asarray(arrays[name])
             if arr.dtype not in _DTYPE_CODES:
                 arr = arr.astype(np.float64)
-            if not arr.flags.c_contiguous:
-                # keep 0-d arrays 0-d: ascontiguousarray would promote them
-                arr = np.ascontiguousarray(arr)
             _write_str(fh, name)
             fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
             fh.write(struct.pack("<B", arr.ndim))

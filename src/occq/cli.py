@@ -182,3 +182,7 @@ def _dispatch(args) -> int:
 
 def entry():
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    entry()

@@ -50,12 +50,37 @@ class OfflineDataset:
     skipped_episodes: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        for ep in self.episodes:
-            ep.validate(horizon=self.horizon)
-            if self.rewards_available and ep.rewards is None:
-                raise InvalidSpec("rewards_available but an episode has none")
-            if not self.rewards_available and ep.rewards is not None:
-                raise InvalidSpec("reward-free dataset must not carry rewards")
+        """Raise ``InvalidSpec`` with ``episode``, the index of the first episode that breaks a
+        rule, if any does; the episodes are checked together first, one by one only to find it."""
+        if self.episodes and self._broken_rule(self.episodes):
+            index, rule = next((i, r) for i, ep in enumerate(self.episodes) if (r := self._broken_rule([ep])))
+            exc = InvalidSpec(rule)
+            exc.episode = index
+            raise exc
+
+    def _broken_rule(self, episodes: list[Trajectory]) -> str | None:
+        """The first episode rule that ``episodes`` break, or None: one more state than actions, at most
+        ``horizon`` steps, rewards exactly when ``rewards_available`` (then one finite reward per
+        action), and on a vector space every state and action within the bounds."""
+        for ep in episodes:
+            if len(ep.states) != ep.n_steps + 1:
+                return "need exactly one more state than actions"
+            if ep.n_steps > self.horizon:
+                return f"{ep.n_steps} steps, more than the horizon {self.horizon}"
+            if (ep.rewards is not None) != self.rewards_available:
+                missing = "no rewards, yet rewards_available is 1"
+                return "rewards, yet rewards_available is 0" if ep.rewards is not None else missing
+            if ep.rewards is not None and len(ep.rewards) != ep.n_steps:
+                return "need one reward per action"
+        if self.rewards_available and not np.isfinite(np.concatenate([ep.rewards for ep in episodes])).all():
+            return "non-finite reward"
+        if self.space.state_kind == "vector":
+            s = self.space
+            bounds = ((s.state_low, s.state_high), (s.action_low, s.action_high))
+            columns = (np.concatenate([getattr(ep, k) for ep in episodes]) for k in ("states", "actions"))
+            if not all(np.all((np.array(lo) <= x) & (x <= np.array(hi))) for x, (lo, hi) in zip(columns, bounds)):
+                return "state or action outside the space's bounds"
+        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OfflineDataset):
@@ -266,13 +291,6 @@ def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63)
     return arr if kind == "index" else arr.reshape(n, width)
 
 
-def _inside(space: SpaceInfo, episodes: list[Trajectory]) -> bool:
-    """Whether every state and action of ``episodes`` lies within the vector ``space``'s bounds."""
-    bounds = ((space.state_low, space.state_high), (space.action_low, space.action_high))
-    columns = (np.concatenate([getattr(ep, k) for ep in episodes]) for k in ("states", "actions"))
-    return all(np.all((np.array(lo) <= x) & (x <= np.array(hi))) for x, (lo, hi) in zip(columns, bounds))
-
-
 _BOUNDS = ("state_low", "state_high", "action_low", "action_high")  # a vector space's bounds, in file order
 
 
@@ -339,9 +357,9 @@ def _header(lines: list[str], idx: int, key: str, take):
 
 
 def load(path) -> OfflineDataset:
-    """Read a dataset written by ``save``; exact field-by-field inverse.  An index or value
-    that does not fit the header's space, or a non-finite reward, raises ``FormatError``
-    naming its line."""
+    """Read a dataset written by ``save``; exact field-by-field inverse.  A token that does not
+    parse, an index outside the header's space, or a record that breaks an episode rule of
+    ``OfflineDataset`` raises ``FormatError`` naming its line."""
     lines = read_text(path).splitlines()
     if not lines:
         raise FormatError("empty file", line=1)
@@ -364,16 +382,9 @@ def load(path) -> OfflineDataset:
         rewards = _read_array(reader, "vector", 1).reshape(-1)
         terminal = bool(reader.take_int(2))
         reader.done()
-        if not np.isfinite(rewards).all():
-            raise FormatError("non-finite reward", line=lineno)
         if not rewards_available and not rewards.size:
             rewards = None
         episodes.append(Trajectory(states=states, actions=actions, rewards=rewards, terminal=terminal))
-    # Index values were bounded as each array was read.  Vector values are checked for the whole file at
-    # once, and episode by episode only to find the line of the first one outside the space.
-    if space.state_kind == "vector" and episodes and not _inside(space, episodes):
-        bad = next(i for i, ep in enumerate(episodes) if not _inside(space, [ep]))
-        raise FormatError("state or action outside the space's bounds", line=body + 1 + bad)
     try:
         return OfflineDataset(
             episodes=episodes,
@@ -385,4 +396,4 @@ def load(path) -> OfflineDataset:
             space=space,
         )
     except InvalidSpec as exc:
-        raise FormatError(f"inconsistent dataset: {exc}") from exc
+        raise FormatError(str(exc), line=body + 1 + exc.episode) from None

@@ -74,6 +74,8 @@ class TabularMDP:
             raise InvalidSpec("need at least one state and one action")
         if self.transition.shape != (self.n_states, self.n_actions, self.n_states):
             raise InvalidSpec(f"transition shape {self.transition.shape} does not match spaces")
+        if not all(np.isfinite(x).all() for x in (self.transition, self.reward, self.start_dist, self.reward_range)):
+            raise InvalidSpec("transition, reward, start_dist and reward_range must be finite")
         if np.any(self.transition < 0):
             raise InvalidSpec("negative transition probability")
         rowsums = self.transition.sum(axis=2)
@@ -160,17 +162,6 @@ class Trajectory:
     def length(self) -> int:
         return len(self.states)
 
-    def validate(self, horizon: int):
-        if len(self.states) != len(self.actions) + 1:
-            raise InvalidSpec("need exactly one more state than actions")
-        if self.rewards is not None:
-            if len(self.rewards) != len(self.actions):
-                raise InvalidSpec("need one reward per action")
-            if not np.all(np.isfinite(self.rewards)):
-                raise NumericalFault("non-finite reward in trajectory")
-        if self.n_steps > horizon:
-            raise InvalidSpec(f"trajectory has {self.n_steps} steps, horizon is {horizon}")
-
 
 def _draw(cdf: np.ndarray, u):
     """Inverse-CDF draw for ``u`` in [0, 1): the first index along the last axis of ``cdf``
@@ -249,15 +240,11 @@ def rollout(env: Env, policy: Callable, rng: np.random.Generator, max_len: int) 
         if done:
             terminal = True
             break
+    rewards = np.array(rewards, dtype=np.float64)
+    if not np.isfinite(rewards).all():
+        raise NumericalFault("non-finite reward in trajectory")
     dtype = np.int64 if isinstance(env, TabularMDP) else np.float64
-    traj = Trajectory(
-        states=np.array(states, dtype=dtype),
-        actions=np.array(actions, dtype=dtype),
-        rewards=np.array(rewards, dtype=np.float64),
-        terminal=terminal,
-    )
-    traj.validate(horizon=env.horizon)
-    return traj
+    return Trajectory(np.array(states, dtype=dtype), np.array(actions, dtype=dtype), rewards, terminal)
 
 
 def _grid_mdp(

@@ -35,21 +35,6 @@ from .policy import PolicyParams, deterministic_action, policy_update
 from .rff import RFFState, make_direct_q_fn, make_rff_q_fn, rff_features, update_reward_features
 
 
-@dataclass(eq=False)
-class TrainResult:
-    critic: CriticParams
-    policy: PolicyParams
-    rff: RFFState | None
-    metrics: list[MetricsRecord]
-    featurizer: Featurizer
-    config: TrainConfig
-    fault_count: int = 0
-    # Rows pushed through the future encoder while the policy was updating;
-    # stays at zero on the random-feature path.
-    future_rows_in_policy_phase: int = 0
-    probe_log: list | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class RunState:
     """What a run carries from one step to the next.  A step builds a new
@@ -67,9 +52,25 @@ class RunState:
     featurizer: Featurizer
 
 
+@dataclass(frozen=True, eq=False)
+class TrainResult(RunState):
+    """A run's final ``RunState``, with what the run recorded."""
+
+    metrics: list[MetricsRecord]
+    config: TrainConfig
+    fault_count: int = 0
+    # Rows pushed through the future encoder while the policy was updating;
+    # stays at zero on the random-feature path.
+    future_rows_in_policy_phase: int = 0
+    probe_log: list | None = None
+
+
 def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
-    if config.use_rff and not config.l2_normalize:
-        raise InvalidSpec("use_rff needs l2_normalize: the random features approximate exp(x . y) only at unit norm")
+    if config.use_rff and not (config.l2_normalize and config.tau_nce == 1):
+        raise InvalidSpec(
+            "use_rff needs l2_normalize and tau_nce = 1: the random features approximate exp(x . y) "
+            "only at unit norm and unit temperature"
+        )
     rng_critic, rng_policy, rng_rff, rng_data, rng_actions = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )
@@ -246,11 +247,8 @@ def _run(config, dataset, state: RunState, out_dir, probe, probe_every) -> Train
         if writer is not None:
             writer.close()
     return TrainResult(
-        critic=state.critic,
-        policy=state.policy,
-        rff=state.rff,
+        **vars(state),
         metrics=records,
-        featurizer=state.featurizer,
         config=config,
         fault_count=fault_count,
         future_rows_in_policy_phase=policy_phase_rows,

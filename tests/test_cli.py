@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occq
 from occq.cli import cli
 from occq.config import config_to_kv, TrainConfig
 from occq.data import load, save
@@ -284,3 +289,27 @@ def test_rff_without_l2_normalize_exits_1(config_file, small_dataset_file, tmp_p
     assert "l2_normalize" in capsys.readouterr().err
     assert not out.exists()  # rejected before the first step
     assert cli(args + ["--set", "use_rff=false", "--set", "l2_normalize=false"]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_rff_with_a_temperature_other_than_1_exits_1(config_file, small_dataset_file, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    data = ["--data", str(small_dataset_file)]
+    if command == "pretrain":
+        data = ["--unlabeled", str(small_dataset_file), "--labeled", str(small_dataset_file), "--pretrain-steps", "2"]
+    args = [command, "--config", str(config_file), *data, "--out", str(out), "--set", "tau_nce=0.5"]
+    assert cli(args + ["--set", "use_rff=true"]) == 1
+    assert "tau_nce" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first step
+    assert cli(args + ["--set", "use_rff=false"]) == 0
+
+
+def test_python_m_occq_cli_runs_from_the_source_tree(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(occq.__file__).parents[1])}  # the source tree's src/
+    out = tmp_path / "chain.dataset"
+    run = [sys.executable, "-m", "occq.cli", "gen-data", "--env", "chain2", "--episodes", "3"]
+    done = subprocess.run(run + ["--out", str(out)], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert load(out).n_episodes == 3
+    missing = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True)  # no --out
+    assert missing.returncode == 2 and "--out" in missing.stderr

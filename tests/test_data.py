@@ -297,6 +297,55 @@ class TestRejections:
         assert str(exc.value) == f"line 10: {message}"
 
 
+class TestEpisodeRules:
+    """A record that breaks a rule of ``OfflineDataset`` is a ``FormatError`` on its own line."""
+
+    def test_record_longer_than_the_horizon(self, chain_dataset, tmp_path):
+        first = chain_dataset.episodes[0]
+        chain_dataset.episodes[0] = Trajectory(first.states[:6], first.actions[:5], first.rewards[:5])
+        path = tmp_path / "d.txt"
+        save(chain_dataset, path)
+        replace_token(path, 3, 1, "5")  # horizon 5: only the first record fits
+        with pytest.raises(FormatError, match="horizon") as exc:
+            load(path)
+        assert exc.value.line == 10
+
+    def test_rewards_in_a_reward_free_file(self, chain_dataset, tmp_path):
+        rewarded, free = tmp_path / "r.txt", tmp_path / "f.txt"
+        save(chain_dataset, rewarded)
+        save(strip_rewards(chain_dataset), free)
+        lines = free.read_text().splitlines()
+        lines[9] = rewarded.read_text().splitlines()[9]
+        free.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="rewards_available") as exc:
+            load(free)
+        assert exc.value.line == 10
+
+    def test_one_reward_short(self, chain_dataset, tmp_path):
+        path = tmp_path / "d.txt"
+        save(chain_dataset, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[9].split()
+        n_rewards = chain_dataset.episodes[1].n_steps
+        tokens[-2 - n_rewards] = str(n_rewards - 1)  # the reward count
+        del tokens[-2]  # the last reward
+        lines[9] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="one reward per action") as exc:
+            load(path)
+        assert exc.value.line == 10
+
+    def test_state_outside_the_space_in_memory(self, car_dataset):
+        ep = car_dataset.episodes[1]
+        states = ep.states.copy()
+        states[2, 1] = 2 * car_dataset.space.state_high[1]  # a velocity beyond the space's bound
+        episodes = list(car_dataset.episodes)
+        episodes[1] = Trajectory(states, ep.actions, ep.rewards, ep.terminal)
+        with pytest.raises(InvalidSpec, match="bounds") as exc:
+            replace(car_dataset, episodes=episodes)
+        assert exc.value.episode == 1
+
+
 class TestStripRewards:
     def test_idempotent(self, chain_dataset):
         once = strip_rewards(chain_dataset)

@@ -386,3 +386,63 @@ class TestCategoricalDrawAtTheTop:
         mdp = TabularMDP(25, 1, transition, np.zeros(25), row, gamma=0.9, horizon=5)
         nxt, _, _ = step(mdp, 0, 0, _FixedDraw(self.U))
         assert row[nxt] > 0
+
+
+def _mdp_args(**changes):
+    """``TabularMDP`` arguments of a valid two-state, one-action chain, with ``changes`` applied."""
+    args = dict(
+        n_states=2,
+        n_actions=1,
+        transition=np.array([[[0.0, 1.0]], [[0.0, 1.0]]]),
+        reward=np.array([0.0, 1.0]),
+        start_dist=np.array([1.0, 0.0]),
+        gamma=0.9,
+        horizon=5,
+    )
+    return {**args, **changes}
+
+
+class TestTabularMDPRejections:
+    def test_valid_arguments_construct(self):
+        assert TabularMDP(**_mdp_args()).n_states == 2
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(n_states=0, transition=np.zeros((0, 1, 0)), reward=np.zeros(0), start_dist=np.zeros(0)),
+             "at least one state"),
+            (dict(transition=np.full((2, 2, 2), 0.5)), "transition shape"),
+            (dict(transition=np.array([[[-0.5, 1.5]], [[0.0, 1.0]]])), "negative transition"),
+            (dict(transition=np.array([[[0.5, 0.4]], [[0.0, 1.0]]])), "sum to 1"),
+            (dict(start_dist=np.array([0.5, 0.4])), "start_dist"),
+            (dict(reward=np.zeros(3)), "one value per state"),
+            (dict(reward=np.array([0.0, 2.0])), "reward_range"),
+            (dict(gamma=1.0), "gamma"),
+            (dict(horizon=0), "horizon"),
+        ],
+        ids=["no-states", "transition-shape", "negative-probability", "row-sum", "start-dist",
+             "reward-shape", "reward-range", "gamma", "horizon"],
+    )
+    def test_inconsistent_arguments_rejected(self, changes, message):
+        with pytest.raises(InvalidSpec, match=message):
+            TabularMDP(**_mdp_args(**changes))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(transition=np.array([[[np.nan, 1.0]], [[0.0, 1.0]]])),
+            dict(reward=np.array([np.nan, 1.0])),
+            dict(start_dist=np.array([np.nan, 1.0])),
+            dict(reward_range=(-np.inf, 1.0)),
+        ],
+        ids=["transition", "reward", "start_dist", "reward_range"],
+    )
+    def test_non_finite_arguments_rejected(self, changes):
+        with pytest.raises(InvalidSpec, match="finite"):
+            TabularMDP(**_mdp_args(**changes))
+
+    def test_spec_with_a_nan_reward_rejected(self, tmp_path):
+        spec = tmp_path / "env.cfg"
+        spec.write_text("kind = gridworld\nwidth = 3\nheight = 3\ngoal_cell = 8\nstep_reward = nan\n")
+        with pytest.raises(InvalidSpec, match="finite"):
+            make_env(str(spec))

@@ -196,3 +196,15 @@ class TestCheckpoint:
         path.write_bytes(data.replace(struct.pack("<Q", 4), struct.pack("<Q", 2**62), 1))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.arange(12.0).reshape(3, 4).T, np.float64(2.5) * np.ones(()), np.arange(6).reshape(2, 3)[:, ::2]],
+        ids=["transposed-float64", "0-d", "strided-int64"],
+    )
+    def test_non_contiguous_array_writes_its_contiguous_bytes(self, tmp_path, array):
+        save_checkpoint(tmp_path / "view.ckpt", {"w": array}, {})
+        save_checkpoint(tmp_path / "copy.ckpt", {"w": array.copy(order="C")}, {})
+        assert (tmp_path / "view.ckpt").read_bytes() == (tmp_path / "copy.ckpt").read_bytes()
+        arrays, _ = load_checkpoint(tmp_path / "view.ckpt")
+        assert arrays["w"].shape == array.shape and np.array_equal(arrays["w"], array)

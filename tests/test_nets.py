@@ -328,3 +328,24 @@ class TestLayout:
         # untrained LayerNorm arrays stay as initialized
         if not layernorm:
             assert all(np.array_equal(s, np.ones_like(s)) for s in mlps[0].ln_scales)
+
+
+def _backward_with_output_grad(rng, shape):
+    params = init_mlp(rng, 4, (6,), 3)
+    _, cache = forward(params, rng.standard_normal((5, 4)))
+    return backward(params, cache, np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: _backward_with_output_grad(rng, (5, 2)), "output_grad"),
+        (lambda rng: _backward_with_output_grad(rng, (4, 3)), "output_grad"),
+        (lambda rng: adam_step(init_adam([np.zeros(3)], 1e-3), [np.zeros(3)], [np.zeros(2)]), "gradient shapes"),
+        (lambda rng: adam_step(init_adam([np.zeros(3)], 1e-3), [np.zeros(2)], [np.zeros(2)]), "optimizer state"),
+    ],
+    ids=["backward-width", "backward-rows", "adam-gradient", "adam-state"],
+)
+def test_mismatched_shapes_rejected(rng, call, message):
+    with pytest.raises(ShapeError, match=message):
+        call(rng)

@@ -436,3 +436,23 @@ def test_q_weighted_validates():
         q_weighted(np.ones((2, 3)), np.ones(2), 0.9)
     with pytest.raises(InvalidSpec):
         q_weighted(np.ones((2, 3)), np.ones(3), 0.9, weights=np.ones(2))
+
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda rng: init_rff(rng, feature_dim=0, latent_dim=4, ema_coeff=0.5), InvalidSpec, "dimensions"),
+        (lambda rng: init_rff(rng, feature_dim=8, latent_dim=0, ema_coeff=0.5), InvalidSpec, "dimensions"),
+        (lambda rng: init_rff(rng, feature_dim=8, latent_dim=4, ema_coeff=0.0), InvalidSpec, "ema_coeff"),
+        (lambda rng: init_rff(rng, feature_dim=8, latent_dim=4, ema_coeff=1.5), InvalidSpec, "ema_coeff"),
+        (lambda rng: update_reward_features(init_rff(rng, 8, 4, 0.5), np.zeros((3, 8)), np.ones(2)),
+         ShapeError, "one reward per"),
+        (lambda rng: update_reward_features(init_rff(rng, 8, 4, 0.5), np.zeros((3, 7)), np.ones(3)),
+         ShapeError, "feature width"),
+    ],
+    ids=["feature-dim", "latent-dim", "ema-zero", "ema-above-one", "reward-count", "feature-width"],
+)
+def test_inconsistent_arguments_rejected(rng, call, error, message):
+    with pytest.raises(error, match=message):
+        call(rng)

@@ -8,7 +8,7 @@ from occq.data import generate_dataset, strip_rewards
 from occq.envs import behavior_policy, make_chain
 from occq.errors import InvalidSpec
 from occq.metrics import MetricsRecord, load_metrics
-from occq.training import evaluate, load_policy_checkpoint, pretrain_then_finetune, train
+from occq.training import RunState, evaluate, load_policy_checkpoint, pretrain_then_finetune, train
 
 
 def tiny_config(**kw):
@@ -40,6 +40,11 @@ class TestTrainLoop:
         assert not (tmp_path / "checkpoint_0001.ckpt").exists()
         records, dropped = load_metrics(tmp_path / "metrics.log")
         assert records == [] and dropped == 0
+
+    def test_result_is_the_final_run_state(self, grid_dataset):
+        result = train(tiny_config(), grid_dataset)
+        assert isinstance(result, RunState)
+        assert result.adam_critic.step_count == result.adam_policy.step_count == len(result.metrics) == 10
 
     def test_same_seed_bit_identical_outputs(self, grid_dataset, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
