@@ -6,54 +6,6 @@ estimates, either directly or through a random cosine feature map that
 caches all future-state work in one running vector.  A tanh-Gaussian or
 categorical policy is decoded from those Q values with optional behavior
 cloning, and exact tabular oracles validate every stage.
+
+The package root exports nothing: import each name from its module.
 """
-
-from .config import TrainConfig, load_config
-from .critic import CriticParams, critic_logits, critic_update, infonce_loss, partition_reg
-from .data import (
-    ContrastiveBatch,
-    OfflineDataset,
-    generate_dataset,
-    load,
-    sample_batch,
-    save,
-    strip_rewards,
-)
-from .envs import (
-    MountainCarEnv,
-    TabularMDP,
-    Trajectory,
-    behavior_policy,
-    gridworld_from_ascii,
-    make_env,
-    make_gridworld,
-    rollout,
-    step,
-)
-from .errors import (
-    AccumulatorUninitialized,
-    BatchTooSmall,
-    FormatError,
-    InvalidAction,
-    InvalidSpec,
-    NumericalFault,
-    OccqError,
-    RewardRequired,
-    ShapeError,
-    VersionError,
-)
-from .nets import AdamState, MLPParams, adam_step, backward, forward, init_mlp, l2_normalize
-from .oracle import exact_occupancy, exact_q, exact_ratio, spearman, value_iteration
-from .policy import (
-    PolicyParams,
-    bc_loss,
-    greedy_decode,
-    kl_boltzmann_loss,
-    policy_update,
-    sample_actions,
-)
-from .rff import RFFState, init_rff, q_value_direct, q_value_rff, rff_features, update_reward_features
-from .training import EvalStats, TrainResult, evaluate, pretrain_then_finetune, train
-from .truncgeom import TruncGeom, pmf, sample
-
-__version__ = "0.1.0"

@@ -14,7 +14,6 @@ the batch so the in-batch negatives are not all from a single trajectory.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -309,10 +308,10 @@ def _read_space(reader: _TokenReader) -> SpaceInfo:
         raise FormatError(f"unknown space kind {kind!r}", line=reader.line)
     sd, ad = reader.take_int(), reader.take_int()
     bounds = {name: tuple(reader.take_float() for _ in range(n)) for name, n in zip(_BOUNDS, (sd, sd, ad, ad))}
-    lows, highs = bounds["state_low"] + bounds["action_low"], bounds["state_high"] + bounds["action_high"]
-    if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(lows, highs)):
-        raise FormatError("space bounds must be finite, each low below its high", line=reader.line)
-    return SpaceInfo("vector", state_dim=sd, action_dim=ad, **bounds)
+    try:
+        return SpaceInfo("vector", state_dim=sd, action_dim=ad, **bounds)
+    except InvalidSpec as exc:
+        raise FormatError(str(exc), line=reader.line) from None
 
 
 # The header lines after the magic line, in file order: (key, the dataset's

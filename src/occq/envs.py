@@ -50,6 +50,27 @@ class SpaceInfo:
     action_low: tuple[float, ...] = ()
     action_high: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        """A vector space needs, per state and action dimension, a finite low below a finite high."""
+        dims = ((self.state_low, self.state_high, self.state_dim), (self.action_low, self.action_high, self.action_dim))
+        if self.state_kind == "vector" and not all(
+            len(lows) == len(highs) == n and all(-math.inf < lo < hi < math.inf for lo, hi in zip(lows, highs))
+            for lows, highs, n in dims
+        ):
+            raise InvalidSpec("space bounds need one finite low below a finite high per dimension")
+
+
+def _check_env(env, **values):
+    """The rules every environment keeps: each of ``values`` finite, gamma in [0, 1), a positive
+    horizon, and a space that ``SpaceInfo`` accepts."""
+    if not_finite := [name for name, value in values.items() if not np.isfinite(value).all()]:
+        raise InvalidSpec(f"{', '.join(not_finite)} must be finite")
+    if not (0.0 <= env.gamma < 1.0):
+        raise InvalidSpec("gamma must lie in [0, 1)")
+    if env.horizon < 1:
+        raise InvalidSpec("horizon must be positive")
+    env.space  # builds, and so checks, the space
+
 
 @dataclass(frozen=True, eq=False)
 class TabularMDP:
@@ -74,8 +95,7 @@ class TabularMDP:
             raise InvalidSpec("need at least one state and one action")
         if self.transition.shape != (self.n_states, self.n_actions, self.n_states):
             raise InvalidSpec(f"transition shape {self.transition.shape} does not match spaces")
-        if not all(np.isfinite(x).all() for x in (self.transition, self.reward, self.start_dist, self.reward_range)):
-            raise InvalidSpec("transition, reward, start_dist and reward_range must be finite")
+        _check_env(self, **{k: getattr(self, k) for k in ("transition", "reward", "start_dist", "reward_range")})
         if np.any(self.transition < 0):
             raise InvalidSpec("negative transition probability")
         rowsums = self.transition.sum(axis=2)
@@ -88,10 +108,6 @@ class TabularMDP:
         lo, hi = self.reward_range
         if np.any(self.reward < lo) or np.any(self.reward > hi):
             raise InvalidSpec("reward outside declared reward_range")
-        if not (0.0 <= self.gamma < 1.0):
-            raise InvalidSpec("gamma must lie in [0, 1)")
-        if self.horizon < 1:
-            raise InvalidSpec("horizon must be positive")
 
     @property
     def space(self) -> SpaceInfo:
@@ -123,6 +139,9 @@ class MountainCarEnv:
     gamma: float = 0.99
     horizon: int = 999
     env_id: str = "mountain_car"
+
+    def __post_init__(self):
+        _check_env(self, **{k: v for k, v in vars(self).items() if k not in ("horizon", "env_id")})
 
     @property
     def space(self) -> SpaceInfo:
@@ -218,10 +237,8 @@ def step(env: Env, state, action, rng: np.random.Generator):
 
 def rollout(env: Env, policy: Callable, rng: np.random.Generator, max_len: int) -> Trajectory:
     """Run ``policy`` for at most ``max_len`` steps, stopping early on done."""
-    if max_len < 1:
-        raise InvalidSpec("max_len must be positive")
-    if max_len > env.horizon:
-        raise InvalidSpec(f"max_len {max_len} exceeds horizon {env.horizon}")
+    if not 1 <= max_len <= env.horizon:
+        raise InvalidSpec(f"max_len {max_len} outside [1, horizon {env.horizon}]")
     state = initial_state(env, rng)
     states, actions, rewards = [state], [], []
     terminal = False

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import SpaceInfo
-from .errors import InvalidSpec
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,6 @@ def featurizer_for(space: SpaceInfo) -> Featurizer:
         return TabularFeaturizer(n_states=space.n_states, n_actions=space.n_actions)
     low = np.array(space.state_low)
     high = np.array(space.state_high)
-    if len(low) != space.state_dim or not np.all(low < high):
-        raise InvalidSpec("vector space needs consistent low/high bounds")
     return ContinuousFeaturizer(
         state_center=tuple((low + high) / 2.0),
         state_halfrange=tuple((high - low) / 2.0),

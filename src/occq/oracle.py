@@ -63,8 +63,6 @@ def exact_occupancy(mdp: TabularMDP, policy_table: np.ndarray, horizon: int | No
     transition matrix; a finite horizon truncates the series and
     renormalizes by 1 / (1 - gamma^H).
     """
-    if mdp.gamma >= 1.0:
-        raise InvalidSpec("gamma must be below 1 for the occupancy solve")
     M = _policy_transition(mdp, policy_table)
     if horizon is None:
         series = _resolvent(mdp, M)

@@ -11,7 +11,8 @@ from occq.analysis import (
 from occq.config import TrainConfig
 from occq.critic import init_critic
 from occq.data import generate_dataset, state_action_frequencies
-from occq.envs import behavior_policy, epsilon_soft_table
+from occq.envs import MountainCarEnv, behavior_policy, epsilon_soft_table
+from occq.errors import InvalidSpec
 from occq.features import featurizer_for
 from occq.oracle import value_iteration
 
@@ -87,3 +88,11 @@ def test_write_q_comparison(setup, rng, tmp_path):
     cells = lines[1].split(",")
     assert len(cells) == 5
     float(cells[2])  # parses as a number
+
+
+def test_tabular_reports_reject_a_vector_dataset(setup, rng):
+    car = generate_dataset(MountainCarEnv(horizon=20), behavior_policy("scripted_mountain_car"), n_episodes=2, seed=0)
+    with pytest.raises(InvalidSpec, match="tabular dataset"):
+        state_action_frequencies(car, 9, 4)
+    with pytest.raises(InvalidSpec, match="tabular dataset"):
+        q_topology_report(setup["critic"], setup["featurizer"], car, setup["env"], setup["behavior_table"], 0.9, rng)

@@ -313,3 +313,46 @@ def test_python_m_occq_cli_runs_from_the_source_tree(tmp_path):
     assert load(out).n_episodes == 3
     missing = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True)  # no --out
     assert missing.returncode == 2 and "--out" in missing.stderr
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [("gamma = 1.5", "gamma must lie in [0, 1)"), ("horizon = 0", "horizon must be positive"),
+     ("max_speed = nan", "max_speed must be finite"), ("min_position = 1", "space bounds need"),
+     ("goal_reward = inf", "goal_reward must be finite")],
+    ids=["gamma", "horizon", "nan-speed", "position-range", "inf-reward"],
+)
+def test_gen_data_bad_mountain_car_spec_exits_1(tmp_path, capsys, line, named):
+    spec = tmp_path / "car.cfg"
+    spec.write_text(f"kind = mountain_car\n{line}\n")
+    out = tmp_path / "car.dataset"
+    assert cli(["gen-data", "--env", str(spec), "--episodes", "2", "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_scripted_behavior_on_a_tabular_env_exits_1(tmp_path, capsys):
+    out = tmp_path / "chain.dataset"
+    assert cli(["gen-data", "--env", "chain2", "--behavior", "scripted", "--episodes", "2", "--out", str(out)]) == 1
+    assert "only drives mountain car" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_uniform_behavior_on_mountain_car(tmp_path):
+    out = tmp_path / "car.dataset"
+    args = ["gen-data", "--env", "mountain_car", "--behavior", "uniform", "--episodes", "2", "--out", str(out)]
+    assert cli(args) == 0
+    dataset = load(out)
+    assert dataset.behavior_descriptor == "uniform_random" and dataset.n_episodes == 2
+
+
+def test_export_plot_torn_tail_notes_the_dropped_record(config_file, small_dataset_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli(["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(out)]) == 0
+    metrics = out / "metrics.log"
+    metrics.write_text(metrics.read_text()[:-20])  # cut the last record short, no trailing newline
+    capsys.readouterr()
+    dest = tmp_path / "curve.csv"
+    assert cli(["export-plot", "--metrics", str(metrics), "--out", str(dest)]) == 0
+    assert "note: dropped 1 partial trailing record(s)" in capsys.readouterr().err
+    assert len(dest.read_text().splitlines()) == 4  # the header and the three whole records

@@ -345,6 +345,19 @@ class TestEpisodeRules:
             replace(car_dataset, episodes=episodes)
         assert exc.value.episode == 1
 
+    def test_one_state_short(self, chain_dataset, tmp_path):
+        path = tmp_path / "d.txt"
+        save(chain_dataset, path)
+        lines = path.read_text().splitlines()
+        tokens = lines[9].split()
+        tokens[0] = str(int(tokens[0]) - 1)  # the state count
+        del tokens[1]  # the first state
+        lines[9] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == "line 10: need exactly one more state than actions"
+
 
 class TestStripRewards:
     def test_idempotent(self, chain_dataset):

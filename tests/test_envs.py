@@ -8,6 +8,7 @@ from occq.envs import (
     LEFT,
     RIGHT,
     MountainCarEnv,
+    SpaceInfo,
     TabularMDP,
     behavior_policy,
     epsilon_soft_table,
@@ -446,3 +447,32 @@ class TestTabularMDPRejections:
         spec.write_text("kind = gridworld\nwidth = 3\nheight = 3\ngoal_cell = 8\nstep_reward = nan\n")
         with pytest.raises(InvalidSpec, match="finite"):
             make_env(str(spec))
+
+
+class TestSpaceInfo:
+    def test_valid_vector_space_constructs(self):
+        assert SpaceInfo("vector", state_dim=1, action_dim=1, state_low=(-1.0,), state_high=(1.0,),
+                         action_low=(0.0,), action_high=(2.0,)).state_dim == 1
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(state_low=(2.0,)), dict(action_high=(-1.0,)), dict(state_high=(np.nan,)),
+         dict(action_low=(-np.inf,)), dict(state_low=(-1.0, -1.0))],
+        ids=["inverted-state", "inverted-action", "nan", "inf", "more-bounds-than-dimensions"],
+    )
+    def test_bad_vector_bounds_rejected(self, changes):
+        bounds = dict(state_low=(-1.0,), state_high=(1.0,), action_low=(-1.0,), action_high=(1.0,))
+        with pytest.raises(InvalidSpec, match="space bounds"):
+            SpaceInfo("vector", state_dim=1, action_dim=1, **{**bounds, **changes})
+
+
+class TestMountainCarRejections:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [(dict(gamma=1.0), "gamma"), (dict(horizon=0), "horizon"), (dict(force=np.nan), "force must be finite"),
+         (dict(max_position=-1.2), "space bounds"), (dict(max_speed=0.0), "space bounds")],
+        ids=["gamma", "horizon", "nan-force", "empty-position-range", "zero-speed-range"],
+    )
+    def test_bad_parameters_rejected(self, changes, message):
+        with pytest.raises(InvalidSpec, match=message):
+            MountainCarEnv(**changes)
