@@ -393,7 +393,7 @@ def _epsilon_soft_tabular(mdp: TabularMDP, epsilon: float):
     from .oracle import value_iteration  # local import avoids a cycle
 
     if not isinstance(mdp, TabularMDP):
-        raise InvalidSpec(f"epsilon_soft_tabular needs a tabular mdp, got {type(mdp).__name__}")
+        raise InvalidSpec(f"needs a tabular mdp, got {type(mdp).__name__}")
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidSpec("epsilon must lie in [0, 1]")
@@ -438,15 +438,19 @@ def behavior_policy(kind: str, **params) -> Callable:
 
 def _build(factory: Callable, where, args: dict, texts: dict):
     """``factory(**args)``, with each of ``texts`` parsed as the type its key
-    has in ``factory``'s signature and added to ``args``.  A bad value, or a
-    missing or unknown argument, raises ``InvalidSpec`` naming it."""
+    has in ``factory``'s signature and added to ``args``.  A bad value, a
+    missing or unknown argument, or a value ``factory`` rejects raises
+    ``InvalidSpec`` naming it after ``where``."""
     types = typing.get_type_hints(factory)
     try:
         args = {**args, **{key: _parse_value(key, text, types) for key, text in texts.items()}}
         inspect.signature(factory).bind(**args)
     except (InvalidSpec, TypeError) as exc:
         raise InvalidSpec(f"{where}: {exc}") from None
-    return factory(**args)
+    try:
+        return factory(**args)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{where}: {exc}") from None
 
 
 # -- registry and config-file loading ---------------------------------------

@@ -47,13 +47,16 @@ class MetricsRecord:
                 values[key] = _INTS[key](raw, lineno) if key in _INTS else float.fromhex(raw)
             except (ValueError, OverflowError):
                 raise FormatError(f"bad value for {key!r}: {raw!r}", line=lineno) from None
-        if "step" not in values or "epoch" not in values:
-            raise FormatError("record is missing step/epoch", line=lineno)
+        missing = [name for name in _ALWAYS_WRITTEN if name not in values]
+        if missing:
+            raise FormatError(f"record is missing {', '.join(missing)}", line=lineno)
         return cls(**values)
 
 
-# The fields a line holds, in order, and the readers of the integer ones.
+# The fields a line holds, in order; those every written line holds (the ones
+# whose default is not None); and the readers of the integer ones.
 _SERIALIZED = [f.name for f in fields(MetricsRecord) if f.name != "wall_time"]
+_ALWAYS_WRITTEN = [f.name for f in fields(MetricsRecord) if f.default is not None]
 _INTS = {"step": _read_count, "epoch": _read_count, "fault": lambda raw, line: bool(_read_count(raw, line, 2))}
 
 

@@ -32,7 +32,8 @@ class MLPParams:
 
     ``weights[i]`` has shape (fan_out, fan_in); the last entry is the output
     layer.  ``ln_scales`` / ``ln_shifts`` hold one LayerNorm pair per hidden
-    layer (unused when ``layernorm`` is off).
+    layer (unused when ``layernorm`` is off: ``backward`` then gives them
+    zero gradients, so Adam leaves them as they are).
     """
 
     weights: list[np.ndarray]
@@ -58,11 +59,6 @@ class MLPParams:
 # MLPParams list fields and their checkpoint array names; the order is the
 # flat order of ``param_list``.
 _FIELDS = {"weights": "weight", "biases": "bias", "ln_scales": "ln_scale", "ln_shifts": "ln_shift"}
-
-
-def _trained(mlp: MLPParams) -> tuple[str, ...]:
-    """Fields the optimizer updates: the LayerNorm pairs only when LayerNorm is on."""
-    return tuple(_FIELDS) if mlp.layernorm else ("weights", "biases")
 
 
 def mlp_to_arrays(prefix: str, mlp: MLPParams) -> dict[str, np.ndarray]:
@@ -205,8 +201,8 @@ def backward(params: MLPParams, cache, output_grad: np.ndarray):
 
 
 def param_list(params: MLPParams) -> list[np.ndarray]:
-    """Flat ordering of the trained arrays (stable across calls)."""
-    return [a for field in _trained(params) for a in getattr(params, field)]
+    """Flat ordering of every array, the one Adam trains (stable across calls)."""
+    return [a for field in _FIELDS for a in getattr(params, field)]
 
 
 def grad_list(params: MLPParams, grads: MLPParams) -> list[np.ndarray]:
@@ -216,9 +212,9 @@ def grad_list(params: MLPParams, grads: MLPParams) -> list[np.ndarray]:
 
 def with_param_list(params: MLPParams, arrays) -> MLPParams:
     """Rebuild an MLPParams from the flat array ordering of ``param_list``,
-    taking the arrays from the front of ``arrays``; untrained fields are kept."""
+    taking the arrays from the front of ``arrays``."""
     rest = iter(arrays)
-    return replace(params, **{f: [next(rest) for _ in getattr(params, f)] for f in _trained(params)})
+    return replace(params, **{f: [next(rest) for _ in getattr(params, f)] for f in _FIELDS})
 
 
 @dataclass(eq=False)

@@ -1,7 +1,7 @@
 """Exact ground truth for tabular MDPs.
 
-Everything here is deterministic linear algebra: discounted occupancy
-measures via a resolvent solve, Q-functions in both the occupancy-weighted
+Everything here is deterministic linear algebra: infinite-horizon
+discounted occupancy measures via a resolvent solve, Q-functions in both the occupancy-weighted
 and Bellman forms, density ratios against a dataset-weighted marginal, and
 a Spearman rank correlation used to compare learned quantities against
 these tables.
@@ -20,13 +20,6 @@ from .errors import InvalidSpec
 _COND_WARN = 1e8
 _VI_TOL = 1e-12
 _VI_MAX_ITER = 100_000
-
-
-@dataclass(frozen=True, eq=False)
-class OccupancyTable:
-    """Discounted future-state distribution per (s, a); rows sum to one."""
-
-    occupancy: np.ndarray  # (S, A, S)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,64 +48,34 @@ def _resolvent(mdp: TabularMDP, M: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, np.eye(mdp.n_states))
 
 
-def exact_occupancy(mdp: TabularMDP, policy_table: np.ndarray, horizon: int | None = None) -> OccupancyTable:
-    """Discounted occupancy d(s'|s,a) = norm * sum_k gamma^(k-1) P[S_{t+k}=s'].
+def exact_occupancy(mdp: TabularMDP, policy_table: np.ndarray) -> np.ndarray:
+    """Discounted occupancy d(s'|s,a) = (1 - gamma) * sum_k gamma^(k-1) P[S_{t+k}=s'],
+    an (S, A, S) array whose rows sum to one.
 
-    The infinite-horizon case uses the closed form
-    (1 - gamma) * P_a @ (I - gamma * M)^-1 with M the policy-averaged
-    transition matrix; a finite horizon truncates the series and
-    renormalizes by 1 / (1 - gamma^H).
+    Uses the closed form (1 - gamma) * P_a @ (I - gamma * M)^-1 with M the
+    policy-averaged transition matrix.
     """
-    M = _policy_transition(mdp, policy_table)
-    if horizon is None:
-        series = _resolvent(mdp, M)
-        scale = 1.0 - mdp.gamma
-    else:
-        if horizon < 1:
-            raise InvalidSpec("horizon must be positive")
-        term = np.eye(mdp.n_states)
-        series = np.eye(mdp.n_states)
-        for _ in range(horizon - 1):
-            term = mdp.gamma * (term @ M)
-            series += term
-        scale = (1.0 - mdp.gamma) / (1.0 - mdp.gamma**horizon)
-    occ = scale * np.einsum("sax,xy->say", mdp.transition, series)
-    return OccupancyTable(occupancy=occ)
+    series = _resolvent(mdp, _policy_transition(mdp, policy_table))
+    return (1.0 - mdp.gamma) * np.einsum("sax,xy->say", mdp.transition, series)
 
 
-def exact_q(mdp: TabularMDP, policy_table: np.ndarray, horizon: int | None = None) -> np.ndarray:
+def exact_q(mdp: TabularMDP, policy_table: np.ndarray) -> np.ndarray:
     """Q(s,a) as the discounted sum of rewards at future states.
 
     Computed by reward-weighting the occupancy table; agrees with the
     Bellman solve (see ``bellman_q``) to solver precision.
     """
-    occ = exact_occupancy(mdp, policy_table, horizon=horizon)
-    if horizon is None:
-        scale = 1.0 / (1.0 - mdp.gamma)
-    else:
-        scale = (1.0 - mdp.gamma**horizon) / (1.0 - mdp.gamma)
-    return scale * occ.occupancy @ mdp.reward
+    return 1.0 / (1.0 - mdp.gamma) * exact_occupancy(mdp, policy_table) @ mdp.reward
 
 
-def bellman_q(mdp: TabularMDP, policy_table: np.ndarray, horizon: int | None = None) -> np.ndarray:
+def bellman_q(mdp: TabularMDP, policy_table: np.ndarray) -> np.ndarray:
     """Independent Q computation through the Bellman equations."""
     M = _policy_transition(mdp, policy_table)
-    if horizon is None:
-        V = _resolvent(mdp, M) @ (M @ mdp.reward)
-        return mdp.transition @ (mdp.reward + mdp.gamma * V)
-    Q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(horizon):
-        V = np.einsum("sa,sa->s", policy_table, Q)
-        Q = mdp.transition @ (mdp.reward + mdp.gamma * V)
-    return Q
+    V = _resolvent(mdp, M) @ (M @ mdp.reward)
+    return mdp.transition @ (mdp.reward + mdp.gamma * V)
 
 
-def exact_ratio(
-    mdp: TabularMDP,
-    policy_table: np.ndarray,
-    anchor_weights: np.ndarray,
-    horizon: int | None = None,
-) -> RatioTable:
+def exact_ratio(mdp: TabularMDP, policy_table: np.ndarray, anchor_weights: np.ndarray) -> RatioTable:
     """Occupancy over the anchor-weighted marginal.
 
     ``anchor_weights[s, a]`` are the dataset frequencies of state-action
@@ -126,7 +89,7 @@ def exact_ratio(
     if total <= 0:
         raise InvalidSpec("anchor weights must not be all zero")
     w = w / total
-    occ = exact_occupancy(mdp, policy_table, horizon=horizon).occupancy
+    occ = exact_occupancy(mdp, policy_table)
     marginal = np.einsum("sa,sax->x", w, occ)
     supported = marginal > 0
     ratio = np.full_like(occ, np.nan)

@@ -133,52 +133,46 @@ def update_reward_features(rff: RFFState, future_feats: np.ndarray, future_rewar
     return replace(rff, reward_features=new, initialized=True)
 
 
-def q_weighted(exp_logits: np.ndarray, rewards: np.ndarray, gamma: float, weights: np.ndarray | None = None):
+def q_weighted(exp_logits: np.ndarray, rewards: np.ndarray, gamma: float):
     """Core estimator: reward-weighted average of exponentiated logits
     over future samples, scaled by 1 / (1 - gamma).
 
     ``exp_logits`` has one row per query and one column per future sample.
-    ``weights`` (optional, per future sample) reweights the average; by
-    default the samples are assumed to come from the offset sampler already,
-    so a plain mean applies.
+    The samples come from the offset sampler, which already applies the
+    gamma-weighting, so a plain mean applies.
     """
     exp_logits = np.atleast_2d(exp_logits)
-    r, w = _rewards_and_weights(rewards, weights)
+    r = _rewards(rewards)
     if exp_logits.shape[1] != len(r):
         raise InvalidSpec("one reward per future sample required")
-    return exp_logits @ (w * r) / (w.sum() * (1.0 - gamma))
+    return exp_logits @ r / (len(r) * (1.0 - gamma))
 
 
-def _rewards_and_weights(rewards, weights):
+def _rewards(rewards) -> np.ndarray:
     r = np.asarray(rewards, dtype=np.float64).reshape(-1)
     if len(r) == 0:
         raise InvalidSpec("need at least one future sample")
-    if weights is None:
-        return r, np.ones(len(r))
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if len(w) != len(r):
-        raise InvalidSpec("one weight per future sample required")
-    return r, w
+    return r
 
 
 # A Q head maps anchor features to (q, anchor side, dq/d anchor embedding);
 # the gradient is returned as a thunk so plain Q queries never pay for it.
 
 
-def _direct_head(critic: CriticParams, future_state_feats, future_rewards, gamma: float, weights=None):
+def _direct_head(critic: CriticParams, future_state_feats, future_rewards, gamma: float):
     if future_rewards is None:
         raise RewardRequired("direct Q estimation needs future rewards")
-    r, w = _rewards_and_weights(future_rewards, weights)
+    r = _rewards(future_rewards)
 
     def head(sa_feats):
         logits, anchor, future = pair_logits(critic, sa_feats, future_state_feats, target=True)
         expl = np.exp(logits)
 
         def d_emb():
-            # sum_i w_i r_i exp(logit_i) f_i / (sum(w) (1-gamma) temperature)
-            return (expl * (w * r)) @ future[0] / (w.sum() * (1.0 - gamma) * critic.temperature)
+            # sum_i r_i exp(logit_i) f_i / (n (1-gamma) temperature)
+            return (expl * r) @ future[0] / (len(r) * (1.0 - gamma) * critic.temperature)
 
-        return q_weighted(expl, r, gamma, weights=w), anchor, d_emb
+        return q_weighted(expl, r, gamma), anchor, d_emb
 
     return head
 
@@ -222,14 +216,13 @@ def q_value_direct(
     future_state_feats: np.ndarray,
     future_rewards: np.ndarray,
     gamma: float,
-    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Monte-Carlo Q estimate against a pool of future states.
 
     Encodes the pool through the target future encoder at every call, which
     is exactly the cost the random-feature path amortizes away.
     """
-    return _q_value(_direct_head(critic, future_state_feats, future_rewards, gamma, weights), sa_feats)
+    return _q_value(_direct_head(critic, future_state_feats, future_rewards, gamma), sa_feats)
 
 
 def q_value_rff(critic: CriticParams, rff: RFFState, sa_feats: np.ndarray, gamma: float) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The distribution lives on offsets ``delta_t in {1, ..., M - m}`` with weight
 ``gamma ** (delta_t - 1)`` (``gamma = 1 - p``), normalized over the window.
-It pairs anchors with future states when building contrastive batches and
-weights future rewards inside the Q estimator.
+It pairs anchors with future states when building contrastive batches;
+those futures are also the pool the Q estimators average over with equal
+weight, since drawing them by this law already applies the discount.
 """
 
 from __future__ import annotations

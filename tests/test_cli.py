@@ -331,6 +331,37 @@ def test_gen_data_bad_mountain_car_spec_exits_1(tmp_path, capsys, line, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [("kind = mountain_car\ngamma = 1.5\n", "gamma must lie in [0, 1)"),
+     ("kind = gridworld\nwidth = 3\nheight = 3\ngoal_cell = 8\nslip_prob = 2\n", "slip_prob must lie in [0, 1)"),
+     ("kind = chain\nhorizon = 0\n", "horizon must be positive")],
+    ids=["car-gamma", "grid-slip", "chain-horizon"],
+)
+def test_gen_data_spec_value_the_env_rejects_names_the_file(tmp_path, capsys, spec, named):
+    path = tmp_path / "env.cfg"
+    path.write_text(spec)
+    out = tmp_path / "d.dataset"
+    assert cli(["gen-data", "--env", str(path), "--episodes", "2", "--out", str(out)]) == 1
+    assert f"error: {path}: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "env, flags, named",
+    [("chain2", ["--epsilon", "1.5"], "epsilon must lie in [0, 1]"),
+     ("mountain_car", [], "needs a tabular mdp, got MountainCarEnv")],
+    ids=["epsilon", "car"],
+)
+def test_gen_data_bad_behavior_names_its_kind_once(tmp_path, capsys, env, flags, named):
+    out = tmp_path / "d.dataset"
+    args = ["gen-data", "--env", env, "--behavior", "epsilon-soft", *flags, "--episodes", "2", "--out", str(out)]
+    assert cli(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: epsilon_soft_tabular: {named}" in err and err.count("epsilon_soft_tabular") == 1
+    assert not out.exists()
+
+
 def test_gen_data_scripted_behavior_on_a_tabular_env_exits_1(tmp_path, capsys):
     out = tmp_path / "chain.dataset"
     assert cli(["gen-data", "--env", "chain2", "--behavior", "scripted", "--episodes", "2", "--out", str(out)]) == 1

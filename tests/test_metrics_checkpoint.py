@@ -7,6 +7,9 @@ from occq.checkpoint import load_checkpoint, save_checkpoint
 from occq.errors import FormatError, VersionError
 from occq.metrics import MetricsRecord, MetricsWriter, export_plot_data, load_metrics
 
+# A line with every field the writer always writes; format with the step.
+COMPLETE = "step={} epoch=0 critic_loss=0x0p+0 partition_reg=0x0p+0 positive_logit_mean=0x0p+0 fault=0"
+
 
 def sample_record(step=1, **kw):
     defaults = dict(
@@ -57,7 +60,7 @@ class TestMetrics:
 
     def test_malformed_middle_line_raises(self, tmp_path):
         path = tmp_path / "metrics.log"
-        path.write_text("step=1 epoch=0\ngarbage here\nstep=2 epoch=0\n")
+        path.write_text(f"{COMPLETE.format(1)}\ngarbage here\n{COMPLETE.format(2)}\n")
         with pytest.raises(FormatError):
             load_metrics(path)
 
@@ -82,6 +85,12 @@ class TestMetrics:
         with pytest.raises(FormatError, match="line 4"):
             MetricsRecord.from_line(line, lineno=4)
 
+    @pytest.mark.parametrize("name", ["step", "epoch", "critic_loss", "partition_reg", "positive_logit_mean", "fault"])
+    def test_line_without_an_always_written_field_rejected(self, name):
+        line = " ".join(t for t in sample_record().to_line().split() if not t.startswith(f"{name}="))
+        with pytest.raises(FormatError, match=f"line 4: record is missing {name}$"):
+            MetricsRecord.from_line(line, lineno=4)
+
     def test_fault_flag_round_trips_as_bool(self):
         for fault in (False, True):
             parsed = MetricsRecord.from_line(sample_record(fault=fault).to_line())
@@ -89,7 +98,7 @@ class TestMetrics:
 
     def test_blank_torn_tail_keeps_the_last_record(self, tmp_path):
         path = tmp_path / "metrics.log"
-        path.write_text("step=1 epoch=0\nstep=2 epoch=0\n  ")
+        path.write_text(f"{COMPLETE.format(1)}\n{COMPLETE.format(2)}\n  ")
         records, dropped = load_metrics(path)
         assert [r.step for r in records] == [1, 2] and dropped == 0
 

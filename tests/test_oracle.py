@@ -41,7 +41,7 @@ def random_policy_table(rng, n_states, n_actions):
 class TestOccupancy:
     def test_chain_all_mass_on_absorbing_state(self, chain):
         table = np.tile([1.0, 0.0], (2, 1))  # always advance
-        occ = exact_occupancy(chain, table).occupancy
+        occ = exact_occupancy(chain, table)
         assert occ[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
         assert occ[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -66,7 +66,7 @@ class TestOccupancy:
         for k in range(1, 1001):
             term = term @ M
             brute += 0.5 ** (k - 1) * 0.5 * term
-        occ = exact_occupancy(mdp, table).occupancy
+        occ = exact_occupancy(mdp, table)
         assert np.max(np.abs(occ[:, 0, :] - brute)) <= 1e-9
 
     @given(n_states=st.integers(2, 8), n_actions=st.integers(1, 4), seed=st.integers(0, 10_000))
@@ -75,22 +75,9 @@ class TestOccupancy:
         rng = np.random.default_rng(seed)
         mdp = random_mdp(rng, n_states, n_actions)
         table = random_policy_table(rng, n_states, n_actions)
-        occ = exact_occupancy(mdp, table).occupancy
+        occ = exact_occupancy(mdp, table)
         assert np.max(np.abs(occ.sum(axis=2) - 1.0)) <= 1e-9
         assert np.all(occ >= -1e-12)
-
-    def test_finite_horizon_rows_sum_to_one(self, grid5, rng):
-        table = random_policy_table(rng, grid5.n_states, grid5.n_actions)
-        occ = exact_occupancy(grid5, table, horizon=17).occupancy
-        assert np.max(np.abs(occ.sum(axis=2) - 1.0)) <= 1e-9
-
-    def test_finite_horizon_converges_to_infinite(self, grid5, rng):
-        table = random_policy_table(rng, grid5.n_states, grid5.n_actions)
-        inf = exact_occupancy(grid5, table).occupancy
-        for H in (50, 200):
-            fin = exact_occupancy(grid5, table, horizon=H).occupancy
-            bound = grid5.gamma**H / (1.0 - grid5.gamma) + 1e-9
-            assert np.max(np.abs(fin - inf)) <= bound
 
 
 class TestExactQ:
@@ -121,12 +108,6 @@ class TestExactQ:
         table = random_policy_table(rng, 6, 3)
         assert np.max(np.abs(exact_q(mdp, table) - bellman_q(mdp, table))) <= 1e-8
 
-    def test_finite_horizon_forms_agree(self, rng):
-        mdp = random_mdp(rng, 5, 2)
-        table = random_policy_table(rng, 5, 2)
-        for H in (1, 3, 10):
-            assert np.max(np.abs(exact_q(mdp, table, horizon=H) - bellman_q(mdp, table, horizon=H))) <= 1e-8
-
 
 class TestExactRatio:
     def test_single_anchor_ratio_is_one(self, grid3, rng):
@@ -156,7 +137,7 @@ class TestExactRatio:
         weights = state_action_frequencies(dataset, grid5.n_states, grid5.n_actions)
         _, greedy = value_iteration(grid5)
         table = epsilon_soft_table(greedy, 0.4)
-        rt = exact_ratio(grid5, table, weights, horizon=None)
+        rt = exact_ratio(grid5, table, weights)
 
         # empirical conditional occupancy for one dense anchor via simulation
         rng = np.random.default_rng(99)
