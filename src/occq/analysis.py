@@ -14,7 +14,6 @@ from .data import OfflineDataset, sample_batch, state_action_frequencies
 from .envs import TabularMDP
 from .errors import InvalidSpec
 from .features import TabularFeaturizer
-from .fileio import replacing
 from .oracle import RatioTable, exact_q, exact_ratio, spearman
 from .rff import q_value_direct, q_weighted
 
@@ -66,18 +65,6 @@ def future_sample_pool(dataset: OfflineDataset, gamma: float, rng: np.random.Gen
         rewards.append(batch.future_rewards)
         total += batch.batch_size
     return np.concatenate(states), np.concatenate(rewards)
-
-
-def write_q_comparison(path, report: dict):
-    """Dump a topology report's per-pair values as comma-separated rows
-    (state, action, q_learned, q_exact_ratio, q_true) for external plotting."""
-    states, actions = report["pairs"]
-    rows = [",".join(["state", "action", "q_learned", "q_exact_ratio", "q_true"])]
-    for i in range(len(states)):
-        values = [repr(float(report[key][i])) for key in ("q_learned", "q_control", "q_true")]
-        rows.append(",".join([str(int(states[i])), str(int(actions[i]))] + values))
-    with replacing(path) as fh:
-        fh.write(("\n".join(rows) + "\n").encode("utf-8"))
 
 
 def q_topology_report(

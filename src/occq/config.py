@@ -69,6 +69,7 @@ class TrainConfig:
             "reward_feature_ema",
             "max_grad_norm",
             "seed",
+            "horizon",
             "policy_state_cap",
         ):
             if getattr(self, name) < 0:

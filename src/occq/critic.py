@@ -83,7 +83,7 @@ def encode_future(critic: CriticParams, state_feats: np.ndarray, target: bool = 
     global _FUTURE_ENCODE_ROWS
     net = critic.future_encoder_target if target else critic.future_encoder
     raw, cache = nets.forward(net, state_feats)
-    _FUTURE_ENCODE_ROWS += np.atleast_2d(state_feats).shape[0]
+    _FUTURE_ENCODE_ROWS += len(state_feats)
     emb = nets.l2_normalize(raw) if critic.l2_normalize_outputs else raw
     return emb, raw, cache
 
@@ -108,7 +108,7 @@ def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb):
 
 
 def _contrastive_logits(critic: CriticParams, anchor_feats, positive_feats):
-    if np.atleast_2d(anchor_feats).shape[0] < 2:
+    if len(anchor_feats) < 2:
         raise BatchTooSmall("need at least two anchors for a contrastive batch")
     logits, anchor, positive = pair_logits(critic, anchor_feats, positive_feats)
     if not np.all(np.isfinite(logits)):

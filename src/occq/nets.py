@@ -87,6 +87,15 @@ def map_params(fn, *mlps: MLPParams) -> MLPParams:
     return replace(mlps[0], **{f: [fn(*xs) for xs in zip(*(getattr(m, f) for m in mlps))] for f in _FIELDS})
 
 
+def weight_shapes(input_dim: int, hidden: tuple[int, ...], output_dim: int, densenet: bool) -> list[tuple[int, int]]:
+    """(fan_out, fan_in) of each weight, the output layer last."""
+    shapes, fan_in = [], input_dim
+    for width in hidden:
+        shapes.append((width, fan_in))
+        fan_in = fan_in + width if densenet else width
+    return shapes + [(output_dim, fan_in)]
+
+
 def init_mlp(
     rng: np.random.Generator,
     input_dim: int,
@@ -96,31 +105,23 @@ def init_mlp(
     layernorm: bool = True,
 ) -> MLPParams:
     """Fan-in scaled uniform weights, zero biases, identity LayerNorm."""
-    weights, biases, scales, shifts = [], [], [], []
-    fan_in = input_dim
-    for width in hidden:
+    shapes = weight_shapes(input_dim, hidden, output_dim, densenet)
+    weights = []
+    for fan_out, fan_in in shapes:
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(width, fan_in)))
-        biases.append(np.zeros(width))
-        scales.append(np.ones(width))
-        shifts.append(np.zeros(width))
-        fan_in = fan_in + width if densenet else width
-    bound = 1.0 / np.sqrt(fan_in)
-    weights.append(rng.uniform(-bound, bound, size=(output_dim, fan_in)))
-    biases.append(np.zeros(output_dim))
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+    biases = [np.zeros(fan_out) for fan_out, _ in shapes]
+    scales, shifts = [np.ones(width) for width in hidden], [np.zeros(width) for width in hidden]
     return MLPParams(weights, biases, scales, shifts, densenet=densenet, layernorm=layernorm)
 
 
 def forward(params: MLPParams, x: np.ndarray):
-    """Evaluate the network; returns (output, cache) with the cache holding
-    every intermediate needed by ``backward``.  Accepts a single vector or a
-    batch of rows."""
+    """Evaluate the network on a batch of rows, shape (n, input_dim); returns
+    (output, cache) with the cache holding every intermediate needed by
+    ``backward``."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(f"input of width {x.shape[-1]} into a net expecting {params.input_dim}")
+        raise ShapeError(f"input of shape {x.shape} into a net expecting rows of width {params.input_dim}")
     layers = []
     h = x
     for i in range(params.n_hidden):
@@ -150,8 +151,7 @@ def forward(params: MLPParams, x: np.ndarray):
     y += params.biases[-1]
     if not np.all(np.isfinite(y)):
         raise NumericalFault("non-finite activation in forward pass")
-    cache = {"layers": layers, "last": h, "single": single, "batch": x.shape[0]}
-    return (y[0] if single else y), cache
+    return y, {"layers": layers, "last": h, "batch": x.shape[0]}
 
 
 def _layernorm_backward(dn, z_hat, inv_std, scale):
@@ -169,8 +169,6 @@ def backward(params: MLPParams, cache, output_grad: np.ndarray):
     ``params``; ``output_grad`` must match the forward call's output shape.
     """
     dy = np.asarray(output_grad, dtype=np.float64)
-    if cache["single"]:
-        dy = dy[None, :]
     if dy.shape != (cache["batch"], params.output_dim):
         raise ShapeError("output_grad shape does not match the forward pass")
     h = cache["last"]
@@ -196,8 +194,7 @@ def backward(params: MLPParams, cache, output_grad: np.ndarray):
         glh.append(g_shift)
         dh = dx_skip + dz @ params.weights[i]
     grads = replace(params, weights=gw[::-1], biases=gb[::-1], ln_scales=gls[::-1], ln_shifts=glh[::-1])
-    dx = dh[0] if cache["single"] else dh
-    return grads, dx
+    return grads, dh
 
 
 def param_list(params: MLPParams) -> list[np.ndarray]:
@@ -221,9 +218,9 @@ def with_param_list(params: MLPParams, arrays) -> MLPParams:
 class AdamState:
     """Adam moments for a fixed list of parameter arrays.
 
-    Each moment is one flat buffer over all arrays, in list order, so a step
-    runs a few whole-buffer ufuncs instead of a loop over the arrays;
-    ``first_moment`` and ``second_moment`` give per-array views of them.
+    Each moment (``m``, ``v``) is one flat buffer over all arrays, laid end
+    to end in list order with the sizes of ``shapes``, so a step runs a few
+    whole-buffer ufuncs instead of a loop over the arrays.
     """
 
     m: np.ndarray
@@ -231,14 +228,6 @@ class AdamState:
     shapes: tuple[tuple[int, ...], ...]
     step_count: int
     learning_rate: float
-
-    @property
-    def first_moment(self) -> list[np.ndarray]:
-        return _split(self.m, self.shapes)
-
-    @property
-    def second_moment(self) -> list[np.ndarray]:
-        return _split(self.v, self.shapes)
 
 
 def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -330,21 +319,15 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; near-zero rows pass through a guard and are
     counted in the degenerate-row diagnostic."""
     global _L2_DEGENERATE_ROWS
-    v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    rows = v[None, :] if single else v
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
     degenerate = norms <= _L2_EPS
     if np.any(degenerate):
         _L2_DEGENERATE_ROWS += int(degenerate.sum())
-    out = rows / np.maximum(norms, _L2_EPS)
-    return out[0] if single else out
+    return v / np.maximum(norms, _L2_EPS)
 
 
 def l2_normalize_backward(v: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Gradient of l2_normalize w.r.t. its input (rows independent)."""
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    dout = np.atleast_2d(np.asarray(dout, dtype=np.float64))
     norms = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), _L2_EPS)
     u = v / norms
     return (dout - u * (u * dout).sum(axis=1, keepdims=True)) / norms

@@ -104,7 +104,6 @@ def sample_actions(policy: PolicyParams, state_feats: np.ndarray, rng: np.random
     integer actions (N, n)."""
     if n < 1:
         raise InvalidSpec("need at least one sample")
-    state_feats = np.atleast_2d(state_feats)
     out, _ = nets.forward(policy.net, state_feats)
     if policy.discrete:
         logp = _log_softmax(out)
@@ -117,8 +116,8 @@ def sample_actions(policy: PolicyParams, state_feats: np.ndarray, rng: np.random
 
 
 def deterministic_action(policy: PolicyParams, state_feats: np.ndarray):
-    """Evaluation-mode action: tanh(mean) or the argmax class."""
-    out, _ = nets.forward(policy.net, np.atleast_2d(state_feats))
+    """Evaluation-mode action for the first state row: tanh(mean) or the argmax class."""
+    out, _ = nets.forward(policy.net, state_feats)
     if policy.discrete:
         return int(np.argmax(out[0]))
     mean, _, _ = _heads(policy, out)
@@ -129,18 +128,8 @@ def policy_table(policy: PolicyParams, state_feats: np.ndarray) -> np.ndarray:
     """Action distribution per state (discrete policies only)."""
     if not policy.discrete:
         raise InvalidSpec("policy_table needs a discrete policy")
-    out, _ = nets.forward(policy.net, np.atleast_2d(state_feats))
+    out, _ = nets.forward(policy.net, state_feats)
     return np.exp(_log_softmax(out))
-
-
-def greedy_decode(q_fn, state_feat: np.ndarray, candidate_action_feats: np.ndarray) -> int:
-    """Index of the Q-maximizing candidate (ties go to the lowest index)."""
-    cands = np.atleast_2d(candidate_action_feats)
-    if cands.shape[0] < 1:
-        raise InvalidSpec("need at least one candidate action")
-    states = np.tile(np.asarray(state_feat, dtype=np.float64), (cands.shape[0], 1))
-    q, _ = q_fn(states, cands)
-    return int(np.argmax(q))
 
 
 def kl_boltzmann_loss(
@@ -163,7 +152,6 @@ def kl_boltzmann_loss(
     """
     if tau <= 0:
         raise InvalidSpec("tau must be positive")
-    state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
     out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
 
@@ -218,7 +206,6 @@ def bc_loss(
     entropy is exact.  ``forward`` is as in ``kl_boltzmann_loss``.
     Returns (loss, grads, info), ``grads`` as from ``nets.backward``.
     """
-    state_feats = np.atleast_2d(state_feats)
     n = state_feats.shape[0]
     out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
 
@@ -237,10 +224,9 @@ def bc_loss(
         grads, _ = nets.backward(policy.net, cache, dlogits)
         return loss, grads, {"bc_nll": nll, "entropy": entropy}
 
-    acts = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     mean, log_std, clip_mask = _heads(policy, out)
     std = np.exp(log_std)
-    clipped = np.clip(acts, -_ATANH_CLIP, _ATANH_CLIP)
+    clipped = np.clip(actions, -_ATANH_CLIP, _ATANH_CLIP)
     u_data = np.arctanh(clipped)
     z = (u_data - mean) / std
     # The tanh correction of the data log-density does not depend on the
@@ -275,7 +261,6 @@ def policy_update(
     rng: np.random.Generator,
 ):
     """One Adam step on KL-to-Boltzmann plus the weighted BC loss."""
-    state_feats = np.atleast_2d(state_feats)
     # Both losses read the same policy output; ``nets.backward`` leaves the cache intact.
     fwd = nets.forward(policy.net, state_feats)
     kl, kl_grads, info = kl_boltzmann_loss(

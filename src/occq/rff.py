@@ -65,19 +65,15 @@ def init_rff(rng: np.random.Generator, feature_dim: int, latent_dim: int, ema_co
 
 
 def rff_features(rff: RFFState, z: np.ndarray) -> np.ndarray:
-    """sqrt(2e/k) * cos(W z + b) for one latent vector or a batch of rows."""
+    """sqrt(2e/k) * cos(W z + b) for each row of ``z``, shape (n, latent_dim)."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    rows = z[None, :] if single else z
-    if rows.shape[1] != rff.latent_dim:
-        raise ShapeError(f"latent width {rows.shape[1]} does not match projection {rff.latent_dim}")
-    out = _projected_trig(rff, rows, np.cos, np.sqrt(2.0 * np.e / rff.feature_dim))
-    return out[0] if single else out
+    if z.ndim != 2 or z.shape[1] != rff.latent_dim:
+        raise ShapeError(f"latents of shape {z.shape} do not match projection width {rff.latent_dim}")
+    return _projected_trig(rff, z, np.cos, np.sqrt(2.0 * np.e / rff.feature_dim))
 
 
 def rff_features_backward(rff: RFFState, z: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """Gradient of ``rff_features`` w.r.t. its latent input."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    """Gradient of ``rff_features`` w.r.t. its latent rows."""
     dout = np.broadcast_to(np.asarray(dout, dtype=np.float64), (len(z), rff.feature_dim))
     return _projected_trig(rff, z, np.sin, -np.sqrt(2.0 * np.e / rff.feature_dim), dout) @ rff.projection
 
@@ -119,13 +115,12 @@ def update_reward_features(rff: RFFState, future_feats: np.ndarray, future_rewar
     the running average."""
     if future_rewards is None:
         raise RewardRequired("reward-free batch cannot update the reward-feature average")
-    feats = np.atleast_2d(future_feats)
     r = np.asarray(future_rewards, dtype=np.float64).reshape(-1)
-    if feats.shape[0] != len(r):
+    if future_feats.shape[0] != len(r):
         raise ShapeError("one reward per future feature row required")
-    if feats.shape[1] != rff.feature_dim:
+    if future_feats.shape[1] != rff.feature_dim:
         raise ShapeError("feature width does not match the projection")
-    batch_estimate = (feats * r[:, None]).mean(axis=0)
+    batch_estimate = (future_feats * r[:, None]).mean(axis=0)
     if not rff.initialized:
         new = batch_estimate
     else:
@@ -141,7 +136,6 @@ def q_weighted(exp_logits: np.ndarray, rewards: np.ndarray, gamma: float):
     The samples come from the offset sampler, which already applies the
     gamma-weighting, so a plain mean applies.
     """
-    exp_logits = np.atleast_2d(exp_logits)
     r = _rewards(rewards)
     if exp_logits.shape[1] != len(r):
         raise InvalidSpec("one reward per future sample required")
@@ -183,16 +177,11 @@ def _rff_head(critic: CriticParams, rff: RFFState, gamma: float):
 
     def head(sa_feats):
         anchor = encode_anchor(critic, sa_feats)
-        emb = np.atleast_2d(anchor[0])
+        emb = anchor[0]
         q = rff_features(rff, emb) @ rff.reward_features / (1.0 - gamma)
         return q, anchor, lambda: rff_features_backward(rff, emb, rff.reward_features) / (1.0 - gamma)
 
     return head
-
-
-def _q_value(head, sa_feats) -> np.ndarray:
-    q, _, _ = head(sa_feats)
-    return q if np.asarray(sa_feats).ndim > 1 else q[0]
 
 
 def _q_fn(critic: CriticParams, head):
@@ -201,12 +190,11 @@ def _q_fn(critic: CriticParams, head):
     skipping the backward pass."""
 
     def q_fn(state_feats: np.ndarray, action_feats: np.ndarray):
-        state_feats = np.atleast_2d(state_feats)
-        q, (_, raw, cache), d_emb = head(np.concatenate([state_feats, np.atleast_2d(action_feats)], axis=1))
+        q, (_, raw, cache), d_emb = head(np.concatenate([state_feats, action_feats], axis=1))
         _, d_in = embedding_backward(critic, critic.sa_encoder, raw, cache, d_emb())
         return q, d_in[:, state_feats.shape[1] :]
 
-    q_fn.values = lambda s, a: head(np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1))[0]
+    q_fn.values = lambda s, a: head(np.concatenate([s, a], axis=1))[0]
     return q_fn
 
 
@@ -222,13 +210,13 @@ def q_value_direct(
     Encodes the pool through the target future encoder at every call, which
     is exactly the cost the random-feature path amortizes away.
     """
-    return _q_value(_direct_head(critic, future_state_feats, future_rewards, gamma), sa_feats)
+    return _direct_head(critic, future_state_feats, future_rewards, gamma)(sa_feats)[0]
 
 
 def q_value_rff(critic: CriticParams, rff: RFFState, sa_feats: np.ndarray, gamma: float) -> np.ndarray:
     """Linearized Q estimate: feature-mapped anchor dotted with the reward
     feature average; no future-encoder work at call time."""
-    return _q_value(_rff_head(critic, rff, gamma), sa_feats)
+    return _rff_head(critic, rff, gamma)(sa_feats)[0]
 
 
 def make_rff_q_fn(critic: CriticParams, rff: RFFState, gamma: float):

@@ -27,7 +27,7 @@ from .config import TrainConfig, config_from_kv, config_hash, config_to_kv, pars
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
 from .data import OfflineDataset, sample_batch
 from .envs import Env, rollout
-from .errors import FormatError, InvalidSpec, NumericalFault
+from .errors import FormatError, InvalidSpec, NumericalFault, OccqError
 from .features import Featurizer, featurizer_for
 from .metrics import MetricsRecord, MetricsWriter
 from .nets import AdamState
@@ -141,14 +141,20 @@ def write_training_checkpoint(
 
 
 def load_policy_checkpoint(path):
-    """Rebuild the policy (and its metadata) from a checkpoint file."""
+    """Rebuild the policy (and its metadata) from a checkpoint file.  Contents
+    that do not make a config, an action head and a net whose arrays chain
+    from its input width to that head raise ``FormatError`` naming ``path``."""
     arrays, meta = load_checkpoint(path)
     try:
         config = config_from_kv(parse_kv(meta["config"].split(";")))
         action_dim, discrete = int(meta["action_dim"]), bool(int(meta["discrete"]))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"not a policy checkpoint: bad or missing metadata ({exc})") from None
-    net = nets.mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
+        net = nets.mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
+        hidden, out_dim = tuple(w.shape[0] for w in net.weights[:-1]), action_dim if discrete else 2 * action_dim
+        shapes = nets.weight_shapes(net.input_dim, hidden, out_dim, config.densenet)
+        if [a.shape for a in nets.param_list(net)] != shapes + [s[:1] for s in shapes] + [(w,) for w in hidden] * 2:
+            raise FormatError(f"policy net arrays do not chain from {net.input_dim} inputs to {out_dim} outputs")
+    except (KeyError, ValueError, IndexError, OccqError) as exc:
+        raise FormatError(f"{path}: not a policy checkpoint ({exc})") from None
     pol = PolicyParams(
         net=net,
         action_dim=action_dim,

@@ -2,9 +2,11 @@
 
 The distribution lives on offsets ``delta_t in {1, ..., M - m}`` with weight
 ``gamma ** (delta_t - 1)`` (``gamma = 1 - p``), normalized over the window.
-It pairs anchors with future states when building contrastive batches;
-those futures are also the pool the Q estimators average over with equal
-weight, since drawing them by this law already applies the discount.
+``sample_supports`` pairs anchors with future states when building
+contrastive batches, each anchor with its own window; those futures are
+also the pool the Q estimators average over with equal weight, since
+drawing them by this law already applies the discount.  ``pmf_vector`` and
+``sample_many`` state the law and its sampler for one fixed window.
 """
 
 from __future__ import annotations
@@ -44,31 +46,16 @@ class TruncGeom:
         return self.M - self.m
 
 
-def pmf(dist: TruncGeom, delta_t: int) -> float:
-    """Probability of offset ``delta_t``; zero outside {1, ..., M - m}."""
-    n = dist.support_size
-    if delta_t < 1 or delta_t > n:
-        return 0.0
-    g = dist.gamma
-    # 0**0 == 1.0 covers the degenerate p = 1 case.
-    return dist.p * g ** (delta_t - 1) / (1.0 - g**n)
-
-
 def pmf_vector(dist: TruncGeom) -> np.ndarray:
     """All support probabilities as a vector indexed by ``delta_t - 1``."""
     n = dist.support_size
     g = dist.gamma
-    w = dist.p * g ** np.arange(n, dtype=np.float64) / (1.0 - g**n)
-    return w
-
-
-def sample(dist: TruncGeom, rng: np.random.Generator) -> int:
-    """Draw one offset by closed-form inverse-CDF (no rejection loop)."""
-    return int(sample_many(dist, rng, 1)[0])
+    # 0**0 == 1.0 covers the degenerate p = 1 case.
+    return dist.p * g ** np.arange(n, dtype=np.float64) / (1.0 - g**n)
 
 
 def sample_many(dist: TruncGeom, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampling of ``size`` offsets."""
+    """``size`` offsets by closed-form inverse-CDF (no rejection loop)."""
     return sample_supports(dist.p, np.full(size, dist.support_size, dtype=np.int64), rng)
 
 

@@ -6,7 +6,6 @@ from occq.analysis import (
     learned_logit_table,
     q_topology_report,
     ratio_recovery_spearman,
-    write_q_comparison,
 )
 from occq.config import TrainConfig
 from occq.critic import init_critic
@@ -67,27 +66,6 @@ def test_topology_report_with_random_critic(setup, rng):
     assert rep["spearman_exact_ratio"] > rep["spearman_learned"]
     assert rep["spearman_exact_ratio"] >= 0.95
     assert rep["n_pairs"] == int((setup["weights"] > 0).sum())
-
-
-def test_write_q_comparison(setup, rng, tmp_path):
-    rep = q_topology_report(
-        setup["critic"],
-        setup["featurizer"],
-        setup["dataset"],
-        setup["env"],
-        setup["behavior_table"],
-        0.9,
-        rng,
-        n_future_samples=1000,
-    )
-    path = tmp_path / "comparison.csv"
-    write_q_comparison(path, rep)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "state,action,q_learned,q_exact_ratio,q_true"
-    assert len(lines) == rep["n_pairs"] + 1
-    cells = lines[1].split(",")
-    assert len(cells) == 5
-    float(cells[2])  # parses as a number
 
 
 def test_tabular_reports_reject_a_vector_dataset(setup, rng):

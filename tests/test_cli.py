@@ -9,8 +9,11 @@ import pytest
 
 import occq
 from occq.cli import cli
+from occq.checkpoint import load_checkpoint, save_checkpoint
 from occq.config import config_to_kv, TrainConfig
 from occq.data import load, save
+from occq.errors import FormatError
+from occq.training import load_policy_checkpoint
 
 from conftest import replace_token
 
@@ -147,6 +150,30 @@ def test_eval_env_mismatch_exits_1(config_file, small_dataset_file, tmp_path, ca
     code = cli(["eval", "--checkpoint", str(out / "checkpoint_0001.ckpt"), "--env", "chain2"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (lambda arrays, meta: meta.update(config=meta["config"].replace("gamma=0.9", "gamma=1.5")), "gamma"),
+        (lambda arrays, meta: arrays.pop("policy/net/weight_0"), "'policy/net' arrays"),
+        (lambda arrays, meta: arrays.update({"policy/net/weight_0": arrays["policy/net/weight_0"][:, :3]}), "chain"),
+        (lambda arrays, meta: meta.update(action_dim="7"), "to 7 outputs"),
+    ],
+    ids=["gamma-1.5", "missing-weight", "wrong-fan-in", "action-dim-7"],
+)
+def test_eval_corrupt_policy_checkpoint_names_the_file(config_file, small_dataset_file, tmp_path, capsys, corrupt, named):
+    out = tmp_path / "run"
+    assert cli(["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(out)]) == 0
+    path = out / "checkpoint_0001.ckpt"
+    arrays, meta = load_checkpoint(path)
+    corrupt(arrays, meta)
+    save_checkpoint(path, arrays, meta)
+    with pytest.raises(FormatError, match=named):
+        load_policy_checkpoint(path)
+    assert cli(["eval", "--checkpoint", str(path), "--env", "gridworld5x5", "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: not a policy checkpoint" in err and named in err
 
 
 @pytest.mark.parametrize("meta", [{"env_id": "gridworld5x5"}, {"env_id": "gridworld5x5", "config": "gamma"}])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from occq import fileio
-from occq.analysis import write_q_comparison
 from occq.checkpoint import load_checkpoint, save_checkpoint
 from occq.data import generate_dataset, load, save
 from occq.envs import behavior_policy
@@ -21,12 +20,9 @@ PREVIOUS = b"previous contents\n"
 def writers(chain):
     dataset = generate_dataset(chain, behavior_policy("uniform_random", env=chain), n_episodes=3, seed=0)
     arrays = {"w": np.arange(3000.0), "v": np.arange(7, dtype=np.int64)}
-    values = np.linspace(0.0, 1.0, 5)
-    report = {"pairs": (np.arange(5), np.zeros(5)), "q_learned": values, "q_control": values, "q_true": values}
     return {
         "checkpoint": (lambda p: save_checkpoint(p, arrays, {"k": "v"}), load_checkpoint),
         "dataset": (lambda p: save(dataset, p), load),
-        "q comparison": (lambda p: write_q_comparison(p, report), Path.read_text),
     }
 
 
@@ -47,7 +43,7 @@ def _failing_replace(src, dst):
     raise OSError("rename failed")
 
 
-@pytest.mark.parametrize("writer", ["checkpoint", "dataset", "q comparison"])
+@pytest.mark.parametrize("writer", ["checkpoint", "dataset"])
 @pytest.mark.parametrize("inject", ["torn write", "failed rename"])
 def test_failed_write_keeps_previous_file(writers, tmp_path, monkeypatch, writer, inject):
     write, read = writers[writer]

@@ -7,7 +7,6 @@ from occq.errors import InvalidSpec
 from occq.policy import (
     bc_loss,
     deterministic_action,
-    greedy_decode,
     init_policy,
     kl_boltzmann_loss,
     policy_table,
@@ -379,25 +378,3 @@ class TestPolicyUpdate:
         climbing = [p for p in probs if p < 0.95]
         assert all(b >= a for a, b in zip(climbing, climbing[1:]))
         assert abs(probs[-1] - target) <= 0.01
-
-
-class TestGreedyDecode:
-    def test_single_candidate(self):
-        assert greedy_decode(tabular_q([3.0]), np.zeros(2), np.eye(1)) == 0
-
-    def test_argmax(self):
-        assert greedy_decode(tabular_q([1.0, 3.0, 2.0]), np.zeros(2), np.eye(3)) == 1
-
-    def test_tie_goes_to_lowest_index(self):
-        assert greedy_decode(tabular_q([2.0, 2.0, 2.0]), np.zeros(2), np.eye(3)) == 0
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(InvalidSpec):
-            greedy_decode(tabular_q([1.0]), np.zeros(2), np.zeros((0, 3)))
-
-    def test_invariant_under_positive_rescaling(self, rng):
-        q = rng.standard_normal(5)
-        cands = np.eye(5)
-        a = greedy_decode(tabular_q(q), np.zeros(2), cands)
-        b = greedy_decode(tabular_q(q * 17.3), np.zeros(2), cands)
-        assert a == b

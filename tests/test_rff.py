@@ -51,7 +51,7 @@ class TestFeatureMap:
         estimates = []
         for _ in range(20):
             rff = init_rff(rng, feature_dim=8192, latent_dim=16, ema_coeff=0.1)
-            estimates.append(float(rff_features(rff, x) @ rff_features(rff, x)))
+            estimates.append(float(rff_features(rff, x[None, :])[0] @ rff_features(rff, x[None, :])[0]))
         assert abs(np.mean(estimates) - np.e) <= 0.05
 
     def test_orthogonal_vectors_approximate_one(self):
@@ -63,7 +63,7 @@ class TestFeatureMap:
         estimates = []
         for _ in range(20):
             rff = init_rff(rng, feature_dim=8192, latent_dim=16, ema_coeff=0.1)
-            estimates.append(float(rff_features(rff, x) @ rff_features(rff, y)))
+            estimates.append(float(rff_features(rff, x[None, :])[0] @ rff_features(rff, y[None, :])[0]))
         assert abs(np.mean(estimates) - 1.0) <= 0.05
 
     def test_error_shrinks_at_root_k_rate(self):
@@ -73,7 +73,7 @@ class TestFeatureMap:
         def mean_abs_error(k):
             rff = init_rff(np.random.default_rng(5), feature_dim=k, latent_dim=16, ema_coeff=0.1)
             errs = [
-                abs(float(rff_features(rff, x) @ rff_features(rff, y)) - np.exp(x @ y))
+                abs(float(rff_features(rff, x[None, :])[0] @ rff_features(rff, y[None, :])[0]) - np.exp(x @ y))
                 for x, y in pairs
             ]
             return np.mean(errs)
@@ -85,7 +85,7 @@ class TestFeatureMap:
     def test_dimension_mismatch(self, rng):
         rff = init_rff(rng, feature_dim=16, latent_dim=8, ema_coeff=0.1)
         with pytest.raises(ShapeError):
-            rff_features(rff, np.zeros(5))
+            rff_features(rff, np.zeros(5)[None, :])
 
     def test_projection_fixed_at_construction(self, rng):
         rff = init_rff(rng, feature_dim=16, latent_dim=4, ema_coeff=0.5)
@@ -143,7 +143,7 @@ class TestRewardFeatures:
 class TestDirectQ:
     def test_zero_rewards_zero_q(self, rng):
         critic = init_critic(rng, 5, 3, (8,), 4)
-        q = q_value_direct(critic, rng.standard_normal(8), rng.standard_normal((6, 5)), np.zeros(6), 0.9)
+        q = q_value_direct(critic, rng.standard_normal(8)[None, :], rng.standard_normal((6, 5)), np.zeros(6), 0.9)[0]
         assert q == 0.0
 
     def test_closed_form_single_sample(self, rng):
@@ -153,7 +153,7 @@ class TestDirectQ:
         critic.sa_encoder.biases[0] = np.array([1.0, 0.0, 0.0, 0.0])
         critic.future_encoder_target.weights[0] = np.zeros((4, 4))
         critic.future_encoder_target.biases[0] = np.array([0.0, 1.0, 0.0, 0.0])
-        q = q_value_direct(critic, np.zeros(6), np.zeros((1, 4)), np.array([1.0]), 0.9)
+        q = q_value_direct(critic, np.zeros(6)[None, :], np.zeros((1, 4)), np.array([1.0]), 0.9)[0]
         assert q == pytest.approx(10.0, abs=1e-12)
 
     def test_matches_scalar_recomputation(self, rng):
@@ -162,7 +162,7 @@ class TestDirectQ:
         futures = rng.standard_normal((7, 5))
         rewards = rng.standard_normal(7)
         gamma = 0.8
-        q = q_value_direct(critic, sa, futures, rewards, gamma)
+        q = q_value_direct(critic, sa[None, :], futures, rewards, gamma)[0]
         a, _, _ = encode_anchor(critic, sa[None, :])
         f, _, _ = encode_future(critic, futures, target=True)
         manual = np.mean([rewards[i] * np.exp(a[0] @ f[i]) for i in range(7)]) / (1.0 - gamma)
@@ -171,7 +171,7 @@ class TestDirectQ:
     def test_empty_future_set_rejected(self, rng):
         critic = init_critic(rng, 5, 3, (8,), 4)
         with pytest.raises(InvalidSpec):
-            q_value_direct(critic, rng.standard_normal(8), np.zeros((0, 5)), np.zeros(0), 0.9)
+            q_value_direct(critic, rng.standard_normal(8)[None, :], np.zeros((0, 5)), np.zeros(0), 0.9)
 
     def test_explicit_weights_match_sampled_expectation(self, rng):
         # enumerated gamma-weights over all offsets vs offset-sampled mean
@@ -181,11 +181,11 @@ class TestDirectQ:
         sa = rng.standard_normal(5)
         weights = gamma ** np.arange(3)
         rewards = np.array([1.0, 2.0, 3.0])
-        single = [q_value_direct(critic, sa, futures[i : i + 1], rewards[i : i + 1], gamma) for i in range(3)]
+        single = [q_value_direct(critic, sa[None, :], futures[i : i + 1], rewards[i : i + 1], gamma)[0] for i in range(3)]
         q_enum = weights @ single / weights.sum()
         probs = weights / weights.sum()
         draws = rng.choice(3, size=200_000, p=probs)
-        q_mc = q_value_direct(critic, sa, futures[draws], rewards[draws], gamma)
+        q_mc = q_value_direct(critic, sa[None, :], futures[draws], rewards[draws], gamma)[0]
         assert q_mc == pytest.approx(q_enum, rel=0.02)
 
 
@@ -332,7 +332,6 @@ class TestRowBlocks:
         def kernels():
             return [
                 rff_features(rff, z),
-                rff_features(rff, z[0]),
                 rff_features_backward(rff, z, dout_row),
                 rff_features_backward(rff, z, dout_rows),
             ]
@@ -433,6 +432,11 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         assert done.returncode == 0, done.stderr
 
 
+def _folded_rff(rng):
+    rff = init_rff(rng, feature_dim=16, latent_dim=4, ema_coeff=0.5)
+    return update_reward_features(rff, rff_features(rff, unit_vectors(rng, 3, 4)), np.ones(3))
+
+
 def test_q_weighted_validates():
     with pytest.raises(InvalidSpec):
         q_weighted(np.ones((2, 3)), np.ones(2), 0.9)
@@ -450,8 +454,16 @@ def test_q_weighted_validates():
          ShapeError, "one reward per"),
         (lambda rng: update_reward_features(init_rff(rng, 8, 4, 0.5), np.zeros((3, 7)), np.ones(3)),
          ShapeError, "feature width"),
+        (lambda rng: rff_features(init_rff(rng, 8, 4, 0.5), np.zeros(4)), ShapeError, "latents of shape"),
+        (lambda rng: q_value_direct(init_critic(rng, 5, 3, (8,), 4), np.zeros(8), np.zeros((3, 5)), np.ones(3), 0.9),
+         ShapeError, "input of shape"),
+        (lambda rng: q_value_rff(init_critic(rng, 5, 3, (8,), 4), _folded_rff(rng), np.zeros(8), 0.9),
+         ShapeError, "input of shape"),
     ],
-    ids=["feature-dim", "latent-dim", "ema-zero", "ema-above-one", "reward-count", "feature-width"],
+    ids=[
+        "feature-dim", "latent-dim", "ema-zero", "ema-above-one", "reward-count", "feature-width",
+        "rff-features-vector", "q-value-direct-vector", "q-value-rff-vector",
+    ],
 )
 def test_inconsistent_arguments_rejected(rng, call, error, message):
     with pytest.raises(error, match=message):

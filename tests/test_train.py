@@ -304,3 +304,5 @@ class TestConfigSerialization:
             TrainConfig(tau_nce=0.0)
         with pytest.raises(InvalidSpec):
             TrainConfig(rff_dim=0)
+        with pytest.raises(InvalidSpec, match="horizon must be non-negative"):
+            TrainConfig(horizon=-1)
