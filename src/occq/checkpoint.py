@@ -45,9 +45,17 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str]):
 
 
 def load_checkpoint(path):
-    """Read back (arrays, meta)."""
+    """Read back (arrays, meta).  A file that is not a whole checkpoint of
+    this version raises ``FormatError`` or ``VersionError`` naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse(blob)
+    except (FormatError, VersionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse(blob: bytes):
     view = memoryview(blob)
     if blob[:8] != _MAGIC:
         raise FormatError("not a checkpoint file")

@@ -15,7 +15,8 @@ import numpy as np
 from . import data
 from .config import load_config, parse_kv
 from .envs import ENV_REGISTRY, MountainCarEnv, TabularMDP, behavior_policy, make_env
-from .errors import OccqError
+from .errors import FormatError, OccqError
+from .features import featurizer_for
 from .fileio import replacing
 from .metrics import export_plot_data, load_metrics
 from .training import evaluate, load_policy_checkpoint, pretrain_then_finetune, train
@@ -142,6 +143,12 @@ def _dispatch(args) -> int:
         if meta.get("env_id") != env.env_id:
             raise OccqError(
                 f"checkpoint was trained on {meta.get('env_id')!r}, not {env.env_id!r}"
+            )
+        state_dim = featurizer_for(env.space).state_dim
+        if pol.net.input_dim != state_dim:
+            raise FormatError(
+                f"{args.checkpoint}: policy net takes {pol.net.input_dim} inputs, "
+                f"but {env.env_id} states have {state_dim} features"
             )
         stats = evaluate(pol, env, n_episodes=args.episodes, seed=args.seed)
         print(

@@ -100,11 +100,11 @@ def pair_logits(critic: CriticParams, anchor_feats: np.ndarray, future_feats: np
     return (anchor[0] @ future[0].T) / critic.temperature, anchor, future
 
 
-def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb):
+def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb, *, param_grads: bool = True):
     """Push d loss / d embedding back through the output normalization and
     ``net``; returns (grads, input_grad) as ``nets.backward`` does."""
     d_raw = nets.l2_normalize_backward(raw, d_emb) if critic.l2_normalize_outputs else d_emb
-    return nets.backward(net, cache, d_raw)
+    return nets.backward(net, cache, d_raw, param_grads=param_grads)
 
 
 def _contrastive_logits(critic: CriticParams, anchor_feats, positive_feats):

@@ -158,23 +158,24 @@ def _layernorm_backward(dn, z_hat, inv_std, scale):
     d_hat = dn * scale
     width = d_hat.shape[1]
     mean_d, mean_dz = (np.add.reduce(a, axis=1, keepdims=True) / width for a in (d_hat, d_hat * z_hat))
-    dz = inv_std * (d_hat - mean_d - z_hat * mean_dz)
-    return dz, (dn * z_hat).sum(axis=0), dn.sum(axis=0)
+    return inv_std * (d_hat - mean_d - z_hat * mean_dz)
 
 
-def backward(params: MLPParams, cache, output_grad: np.ndarray):
+def backward(params: MLPParams, cache, output_grad: np.ndarray, *, param_grads: bool = True):
     """Exact gradients of the forward map.
 
     Returns (grads, input_grad), with ``grads`` an MLPParams laid out like
     ``params``; ``output_grad`` must match the forward call's output shape.
+    With ``param_grads`` off, ``grads`` is None and only the input gradient
+    is computed (the same bits).
     """
     dy = np.asarray(output_grad, dtype=np.float64)
     if dy.shape != (cache["batch"], params.output_dim):
         raise ShapeError("output_grad shape does not match the forward pass")
-    h = cache["last"]
-    gw = [dy.T @ h]
-    gb = [dy.sum(axis=0)]
-    gls, glh = [], []
+    gw, gb, gls, glh = [], [], [], []
+    if param_grads:
+        gw.append(dy.T @ cache["last"])
+        gb.append(dy.sum(axis=0))
     dh = dy @ params.weights[-1]
     for i in reversed(range(params.n_hidden)):
         layer = cache["layers"][i]
@@ -184,15 +185,17 @@ def backward(params: MLPParams, cache, output_grad: np.ndarray):
         else:
             dx_skip, da = 0.0, dh
         dn = da * layer["relu_mask"]
+        dz = dn
         if params.layernorm:
-            dz, g_scale, g_shift = _layernorm_backward(dn, layer["z_hat"], layer["inv_std"], params.ln_scales[i])
-        else:
-            dz, g_scale, g_shift = dn, np.zeros_like(params.ln_scales[i]), np.zeros_like(params.ln_shifts[i])
-        gw.append(dz.T @ x)
-        gb.append(dz.sum(axis=0))
-        gls.append(g_scale)
-        glh.append(g_shift)
+            dz = _layernorm_backward(dn, layer["z_hat"], layer["inv_std"], params.ln_scales[i])
+        if param_grads:
+            gw.append(dz.T @ x)
+            gb.append(dz.sum(axis=0))
+            gls.append((dn * layer["z_hat"]).sum(axis=0) if params.layernorm else np.zeros_like(params.ln_scales[i]))
+            glh.append(dn.sum(axis=0) if params.layernorm else np.zeros_like(params.ln_shifts[i]))
         dh = dx_skip + dz @ params.weights[i]
+    if not param_grads:
+        return None, dh
     grads = replace(params, weights=gw[::-1], biases=gb[::-1], ln_scales=gls[::-1], ln_shifts=glh[::-1])
     return grads, dh
 

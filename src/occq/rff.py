@@ -64,16 +64,21 @@ def init_rff(rng: np.random.Generator, feature_dim: int, latent_dim: int, ema_co
     )
 
 
-def rff_features(rff: RFFState, z: np.ndarray) -> np.ndarray:
-    """sqrt(2e/k) * cos(W z + b) for each row of ``z``, shape (n, latent_dim)."""
+def _latent_rows(rff: RFFState, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != rff.latent_dim:
         raise ShapeError(f"latents of shape {z.shape} do not match projection width {rff.latent_dim}")
-    return _projected_trig(rff, z, np.cos, np.sqrt(2.0 * np.e / rff.feature_dim))
+    return z
+
+
+def rff_features(rff: RFFState, z: np.ndarray) -> np.ndarray:
+    """sqrt(2e/k) * cos(W z + b) for each row of ``z``, shape (n, latent_dim)."""
+    return _projected_trig(rff, _latent_rows(rff, z), np.cos, np.sqrt(2.0 * np.e / rff.feature_dim))
 
 
 def rff_features_backward(rff: RFFState, z: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Gradient of ``rff_features`` w.r.t. its latent rows."""
+    z = _latent_rows(rff, z)
     dout = np.broadcast_to(np.asarray(dout, dtype=np.float64), (len(z), rff.feature_dim))
     return _projected_trig(rff, z, np.sin, -np.sqrt(2.0 * np.e / rff.feature_dim), dout) @ rff.projection
 
@@ -116,10 +121,11 @@ def update_reward_features(rff: RFFState, future_feats: np.ndarray, future_rewar
     if future_rewards is None:
         raise RewardRequired("reward-free batch cannot update the reward-feature average")
     r = np.asarray(future_rewards, dtype=np.float64).reshape(-1)
+    if future_feats.ndim != 2 or future_feats.shape[1] != rff.feature_dim:
+        raise ShapeError(f"feature width does not match the projection: rows of shape {future_feats.shape}, "
+                         f"{rff.feature_dim} features")
     if future_feats.shape[0] != len(r):
         raise ShapeError("one reward per future feature row required")
-    if future_feats.shape[1] != rff.feature_dim:
-        raise ShapeError("feature width does not match the projection")
     batch_estimate = (future_feats * r[:, None]).mean(axis=0)
     if not rff.initialized:
         new = batch_estimate
@@ -191,7 +197,7 @@ def _q_fn(critic: CriticParams, head):
 
     def q_fn(state_feats: np.ndarray, action_feats: np.ndarray):
         q, (_, raw, cache), d_emb = head(np.concatenate([state_feats, action_feats], axis=1))
-        _, d_in = embedding_backward(critic, critic.sa_encoder, raw, cache, d_emb())
+        _, d_in = embedding_backward(critic, critic.sa_encoder, raw, cache, d_emb(), param_grads=False)
         return q, d_in[:, state_feats.shape[1] :]
 
     q_fn.values = lambda s, a: head(np.concatenate([s, a], axis=1))[0]

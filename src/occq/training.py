@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import critic as critic_mod
-from . import nets, policy as policy_mod, rff as rff_mod
+from . import native, nets, policy as policy_mod, rff as rff_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_kv, config_hash, config_to_kv, parse_kv
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
@@ -71,6 +71,7 @@ def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
             "use_rff needs l2_normalize and tau_nce = 1: the random features approximate exp(x . y) "
             "only at unit norm and unit temperature"
         )
+    native.keep_temporaries_on_heap()
     rng_critic, rng_policy, rng_rff, rng_data, rng_actions = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )

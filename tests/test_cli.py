@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ from occq.cli import cli
 from occq.checkpoint import load_checkpoint, save_checkpoint
 from occq.config import config_to_kv, TrainConfig
 from occq.data import load, save
-from occq.errors import FormatError
+from occq.errors import FormatError, VersionError
 from occq.training import load_policy_checkpoint
 
 from conftest import replace_token
@@ -174,6 +175,43 @@ def test_eval_corrupt_policy_checkpoint_names_the_file(config_file, small_datase
     assert cli(["eval", "--checkpoint", str(path), "--env", "gridworld5x5", "--episodes", "1"]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: not a policy checkpoint" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "damage, error, named",
+    [
+        (lambda blob: blob[: len(blob) // 2], FormatError, "truncated checkpoint"),
+        (lambda blob: b"NOTACKPT" + blob[8:], FormatError, "not a checkpoint file"),
+        (lambda blob: blob[:8] + (2).to_bytes(4, "little") + blob[12:], VersionError, "version 2"),
+    ],
+    ids=["truncated", "bad-magic", "version-2"],
+)
+def test_eval_damaged_checkpoint_names_the_file(
+    config_file, small_dataset_file, tmp_path, capsys, damage, error, named
+):
+    out = tmp_path / "run"
+    assert cli(["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(out)]) == 0
+    path = out / "checkpoint_0001.ckpt"
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: .*{named}"):
+        load_checkpoint(path)
+    assert cli(["eval", "--checkpoint", str(path), "--env", "gridworld5x5", "--episodes", "1"]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_eval_policy_fan_in_not_the_envs_names_the_file(config_file, small_dataset_file, tmp_path, capsys):
+    # Without DenseNet wiring a narrower first layer still chains to the
+    # output head, so only the env's feature width shows the fault.
+    out = tmp_path / "run"
+    args = ["train", "--config", str(config_file), "--data", str(small_dataset_file), "--out", str(out)]
+    assert cli(args + ["--set", "densenet=false"]) == 0
+    path = out / "checkpoint_0001.ckpt"
+    arrays, meta = load_checkpoint(path)
+    arrays["policy/net/weight_0"] = arrays["policy/net/weight_0"][:, :3]
+    save_checkpoint(path, arrays, meta)
+    assert cli(["eval", "--checkpoint", str(path), "--env", "gridworld5x5", "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: policy net takes 3 inputs, but " in err and "states have 25 features" in err
 
 
 @pytest.mark.parametrize("meta", [{"env_id": "gridworld5x5"}, {"env_id": "gridworld5x5", "config": "gamma"}])

@@ -132,6 +132,16 @@ class TestBackward:
         fd = finite_difference(loss, [x.copy()])
         assert max_rel_error([dx], fd) <= 1e-4
 
+    @pytest.mark.parametrize("densenet", [True, False])
+    @pytest.mark.parametrize("layernorm", [True, False])
+    def test_input_grad_alone_has_the_same_bits(self, rng, densenet, layernorm):
+        params = init_mlp(rng, 5, (8, 6), 3, densenet=densenet, layernorm=layernorm)
+        _, cache = forward(params, rng.standard_normal((7, 5)))
+        dy = rng.standard_normal((7, 3))
+        grads, dx = backward(params, cache, dy, param_grads=False)
+        assert grads is None
+        assert dx.tobytes() == backward(params, cache, dy)[1].tobytes()
+
     def test_zero_output_grad(self, rng):
         params = init_mlp(rng, 3, (4,), 2)
         _, cache = forward(params, rng.standard_normal(3)[None, :])

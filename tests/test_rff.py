@@ -454,7 +454,11 @@ def test_q_weighted_validates():
          ShapeError, "one reward per"),
         (lambda rng: update_reward_features(init_rff(rng, 8, 4, 0.5), np.zeros((3, 7)), np.ones(3)),
          ShapeError, "feature width"),
+        (lambda rng: update_reward_features(init_rff(rng, 8, 4, 0.5), np.zeros(8), np.ones(8)),
+         ShapeError, "feature width"),
         (lambda rng: rff_features(init_rff(rng, 8, 4, 0.5), np.zeros(4)), ShapeError, "latents of shape"),
+        (lambda rng: rff_features_backward(init_rff(rng, 8, 4, 0.5), np.zeros(4), np.ones(8)),
+         ShapeError, "latents of shape"),
         (lambda rng: q_value_direct(init_critic(rng, 5, 3, (8,), 4), np.zeros(8), np.zeros((3, 5)), np.ones(3), 0.9),
          ShapeError, "input of shape"),
         (lambda rng: q_value_rff(init_critic(rng, 5, 3, (8,), 4), _folded_rff(rng), np.zeros(8), 0.9),
@@ -462,7 +466,8 @@ def test_q_weighted_validates():
     ],
     ids=[
         "feature-dim", "latent-dim", "ema-zero", "ema-above-one", "reward-count", "feature-width",
-        "rff-features-vector", "q-value-direct-vector", "q-value-rff-vector",
+        "update-reward-features-vector", "rff-features-vector", "rff-features-backward-vector",
+        "q-value-direct-vector", "q-value-rff-vector",
     ],
 )
 def test_inconsistent_arguments_rejected(rng, call, error, message):
