@@ -29,14 +29,10 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# run.py's end-to-end metrics and which direction is better
+# the end-to-end metrics BENCHMARK.json declares, and which direction is better
 BETTER = {
-    "setup_s": "lower",
-    "steps_per_s": "higher",
-    "step_ms_tail": "lower",
-    "peak_rss_mb": "lower",
-    "step_ok_rate": "higher",
-    "rank_corr": "higher",
+    m["name"]: m["better"]
+    for m in json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
 }
 COUNT_UNITS = ("count", "rows", "elems", "flop", "bytes")
 RUN_TIMEOUT_S = 400

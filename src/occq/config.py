@@ -22,10 +22,10 @@ class TrainConfig:
 
     Defaults follow the reference setup where one exists: discount 0.99,
     learning rate 3e-4, gradient-norm clip 100, 256x256 DenseNet encoders
-    with LayerNorm, batch = one episode, 10 action samples for the policy
-    KL, InfoNCE temperature 1, partition coefficient 0.001, behavior-cloning
-    coefficient 0.1 (0 for mountain car), random-feature Q path on,
-    L2-normalized encoder outputs.
+    with LayerNorm, batch = every anchor of two episodes, 10 action samples
+    for the policy KL, InfoNCE temperature 1, partition coefficient 0.001,
+    behavior-cloning coefficient 0.1 (0 for mountain car), random-feature Q
+    path on, L2-normalized encoder outputs.
     """
 
     gamma: float = 0.99

@@ -67,9 +67,7 @@ def _log1m_tanh2(u: np.ndarray) -> np.ndarray:
 
 def _heads(policy: PolicyParams, out: np.ndarray):
     """Split raw net output into (mean, log_std, clip_mask)."""
-    d = policy.action_dim
-    mean = out[:, :d]
-    raw = out[:, d:]
+    mean, raw = out[:, : policy.action_dim], out[:, policy.action_dim :]
     log_std = np.clip(raw, policy.log_std_min, policy.log_std_max)
     mask = (raw > policy.log_std_min) & (raw < policy.log_std_max)
     return mean, log_std, mask
@@ -109,8 +107,7 @@ def sample_actions(policy: PolicyParams, state_feats: np.ndarray, rng: np.random
         logp = _log_softmax(out)
         cdf = np.cumsum(np.exp(logp), axis=1)
         actions = _draw(cdf[:, None, :], rng.random((state_feats.shape[0], n)))
-        log_probs = np.take_along_axis(logp, actions, axis=1)
-        return actions, log_probs
+        return actions, np.take_along_axis(logp, actions, axis=1)
     mean, log_std, _ = _heads(policy, out)
     return _tanh_gaussian(mean, log_std, rng, n)[:2]
 
@@ -168,24 +165,21 @@ def kl_boltzmann_loss(
         advantage = logp - q / tau
         loss = float((p * advantage).sum(axis=1).mean())
         # d/d logits of sum_a p_a (logp_a - q_a/tau) = p * (adv - sum_b p_b adv_b)
-        dlogits = p * (advantage - (p * advantage).sum(axis=1, keepdims=True)) / n
-        grads, _ = nets.backward(policy.net, cache, dlogits)
+        dout = p * (advantage - (p * advantage).sum(axis=1, keepdims=True)) / n
         info = {"mean_q": float((p * q).sum(axis=1).mean())}
-        return loss, grads, info
-
-    mean, log_std, clip_mask = _heads(policy, out)
-    a, log_prob, eps, std = _tanh_gaussian(mean, log_std, rng, n_a)
-    flat_states = np.repeat(state_feats, n_a, axis=0)
-    q, dq_da = q_fn(flat_states, a.reshape(n * n_a, policy.action_dim))
-    q = q.reshape(n, n_a)
-    dq_da = dq_da.reshape(n, n_a, policy.action_dim)
-    loss = float((log_prob - q / tau).mean())
-    # d log_prob / d u = 2 tanh(u), and da/du = 1 - tanh(u)^2.
-    du = 2.0 * a - dq_da * (1.0 - a**2) / tau
-    d_mean, d_log_std = _reparam_grads(du, std, eps, 1.0 / (n * n_a))
-    dout = np.concatenate([d_mean, d_log_std * clip_mask], axis=1)
+    else:
+        mean, log_std, clip_mask = _heads(policy, out)
+        a, log_prob, eps, std = _tanh_gaussian(mean, log_std, rng, n_a)
+        flat_states = np.repeat(state_feats, n_a, axis=0)
+        q, dq_da = q_fn(flat_states, a.reshape(n * n_a, policy.action_dim))
+        q, dq_da = q.reshape(n, n_a), dq_da.reshape(n, n_a, policy.action_dim)
+        loss = float((log_prob - q / tau).mean())
+        # d log_prob / d u = 2 tanh(u), and da/du = 1 - tanh(u)^2.
+        du = 2.0 * a - dq_da * (1.0 - a**2) / tau
+        d_mean, d_log_std = _reparam_grads(du, std, eps, 1.0 / (n * n_a))
+        dout = np.concatenate([d_mean, d_log_std * clip_mask], axis=1)
+        info = {"mean_q": float(q.mean())}
     grads, _ = nets.backward(policy.net, cache, dout)
-    info = {"mean_q": float(q.mean())}
     return loss, grads, info
 
 
@@ -203,8 +197,7 @@ def bc_loss(
 
     The entropy of a continuous policy is estimated from ``n_a`` fresh
     samples per state (requires ``rng`` when entropy_coeff > 0); discrete
-    entropy is exact.  ``forward`` is as in ``kl_boltzmann_loss``.
-    Returns (loss, grads, info), ``grads`` as from ``nets.backward``.
+    entropy is exact.  ``forward`` and the return are as in ``kl_boltzmann_loss``.
     """
     n = state_feats.shape[0]
     out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
@@ -215,38 +208,33 @@ def bc_loss(
         p = np.exp(logp)
         nll = -float(logp[np.arange(n), idx].mean())
         entropy = -float((p * logp).sum(axis=1).mean())
-        loss = nll - entropy_coeff * entropy
-        dlogits = (p - _one_hot(idx, policy.action_dim)) / n
+        dout = (p - _one_hot(idx, policy.action_dim)) / n
         if entropy_coeff > 0:
             # d(-H)/d logits = p * (logp - sum_b p_b logp_b) / n
             d_neg_h = p * (logp - (p * logp).sum(axis=1, keepdims=True)) / n
-            dlogits = dlogits + entropy_coeff * d_neg_h
-        grads, _ = nets.backward(policy.net, cache, dlogits)
-        return loss, grads, {"bc_nll": nll, "entropy": entropy}
-
-    mean, log_std, clip_mask = _heads(policy, out)
-    std = np.exp(log_std)
-    clipped = np.clip(actions, -_ATANH_CLIP, _ATANH_CLIP)
-    u_data = np.arctanh(clipped)
-    z = (u_data - mean) / std
-    # The tanh correction of the data log-density does not depend on the
-    # parameters, but it keeps the reported value an honest log-likelihood.
-    logp_data = (-0.5 * z**2 - log_std - 0.5 * _LOG_2PI - _log1m_tanh2(u_data)).sum(axis=1)
-    nll = -float(logp_data.mean())
-    d_mean = -z / std / n
-    d_log_std = -(z**2 - 1.0) / n
-
-    entropy = 0.0
-    if entropy_coeff > 0:
-        if rng is None:
-            raise InvalidSpec("continuous entropy bonus needs an rng")
-        tanh_u, samp_logp, eps, _ = _tanh_gaussian(mean, log_std, rng, n_a)
-        entropy = -float(samp_logp.mean())
-        # loss += -coeff * H = coeff * mean(log prob of fresh samples)
-        dh = _reparam_grads(2.0 * tanh_u, std, eps, entropy_coeff / (n * n_a))
-        d_mean, d_log_std = d_mean + dh[0], d_log_std + dh[1]
+            dout = dout + entropy_coeff * d_neg_h
+    else:
+        mean, log_std, clip_mask = _heads(policy, out)
+        std = np.exp(log_std)
+        u_data = np.arctanh(np.clip(actions, -_ATANH_CLIP, _ATANH_CLIP))
+        z = (u_data - mean) / std
+        # The tanh correction of the data log-density does not depend on the
+        # parameters, but it keeps the reported value an honest log-likelihood.
+        logp_data = (-0.5 * z**2 - log_std - 0.5 * _LOG_2PI - _log1m_tanh2(u_data)).sum(axis=1)
+        nll = -float(logp_data.mean())
+        d_mean = -z / std / n
+        d_log_std = -(z**2 - 1.0) / n
+        entropy = 0.0
+        if entropy_coeff > 0:
+            if rng is None:
+                raise InvalidSpec("continuous entropy bonus needs an rng")
+            tanh_u, samp_logp, eps, _ = _tanh_gaussian(mean, log_std, rng, n_a)
+            entropy = -float(samp_logp.mean())
+            # loss += -coeff * H = coeff * mean(log prob of fresh samples)
+            dh = _reparam_grads(2.0 * tanh_u, std, eps, entropy_coeff / (n * n_a))
+            d_mean, d_log_std = d_mean + dh[0], d_log_std + dh[1]
+        dout = np.concatenate([d_mean, d_log_std * clip_mask], axis=1)
     loss = nll - entropy_coeff * entropy
-    dout = np.concatenate([d_mean, d_log_std * clip_mask], axis=1)
     grads, _ = nets.backward(policy.net, cache, dout)
     return loss, grads, {"bc_nll": nll, "entropy": entropy}
 
@@ -263,7 +251,7 @@ def policy_update(
     """One Adam step on KL-to-Boltzmann plus the weighted BC loss."""
     # Both losses read the same policy output; ``nets.backward`` leaves the cache intact.
     fwd = nets.forward(policy.net, state_feats)
-    kl, kl_grads, info = kl_boltzmann_loss(
+    kl, grads, info = kl_boltzmann_loss(
         policy,
         q_fn,
         state_feats,
@@ -273,7 +261,6 @@ def policy_update(
         forward=fwd,
     )
     metrics = {"policy_kl_loss": kl, "mean_q": info["mean_q"], "bc_loss": 0.0}
-    grads = kl_grads
     if config.lambda_bc > 0:
         bc, bc_grads, _ = bc_loss(
             policy,
@@ -285,7 +272,7 @@ def policy_update(
             forward=fwd,
         )
         metrics["bc_loss"] = bc
-        grads = nets.map_params(lambda k, b: k + config.lambda_bc * b, kl_grads, bc_grads)
+        grads = nets.map_params(lambda k, b: k + config.lambda_bc * b, grads, bc_grads)
     adam, (net,), grad_norm = nets.adam_update(adam, [policy.net], [grads], config.max_grad_norm)
     metrics["policy_grad_norm"] = grad_norm
     return replace(policy, net=net), adam, metrics

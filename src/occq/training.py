@@ -66,6 +66,10 @@ class TrainResult(RunState):
 
 
 def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
+    if not dataset.rewards_available:
+        raise InvalidSpec("full training needs a reward-labeled dataset")
+    if config.horizon and config.horizon != dataset.horizon:
+        raise InvalidSpec(f"config horizon {config.horizon} does not match dataset horizon {dataset.horizon}")
     if config.use_rff and not (config.l2_normalize and config.tau_nce == 1):
         raise InvalidSpec(
             "use_rff needs l2_normalize and tau_nce = 1: the random features approximate exp(x . y) "
@@ -150,9 +154,8 @@ def load_policy_checkpoint(path):
         config = config_from_kv(parse_kv(meta["config"].split(";")))
         action_dim, discrete = int(meta["action_dim"]), bool(int(meta["discrete"]))
         net = nets.mlp_from_arrays(arrays, "policy/net", config.densenet, config.layernorm)
-        hidden, out_dim = tuple(w.shape[0] for w in net.weights[:-1]), action_dim if discrete else 2 * action_dim
-        shapes = nets.weight_shapes(net.input_dim, hidden, out_dim, config.densenet)
-        if [a.shape for a in nets.param_list(net)] != shapes + [s[:1] for s in shapes] + [(w,) for w in hidden] * 2:
+        out_dim = action_dim if discrete else 2 * action_dim
+        if net.output_dim != out_dim:
             raise FormatError(f"policy net arrays do not chain from {net.input_dim} inputs to {out_dim} outputs")
     except (KeyError, ValueError, IndexError, OccqError) as exc:
         raise FormatError(f"{path}: not a policy checkpoint ({exc})") from None
@@ -212,16 +215,13 @@ def _train_step(config, dataset, state: RunState):
 
 
 def _run(config, dataset, state: RunState, out_dir, probe, probe_every) -> TrainResult:
-    if not dataset.rewards_available:
-        raise InvalidSpec("full training needs a reward-labeled dataset")
-    if config.horizon and config.horizon != dataset.horizon:
-        raise InvalidSpec(f"config horizon {config.horizon} does not match dataset horizon {dataset.horizon}")
     out_path = Path(out_dir) if out_dir is not None else None
     writer = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        writer = MetricsWriter(out_path / "metrics.log")
+        # the step-0 checkpoint comes first, so a failed write leaves no log file open
         write_training_checkpoint(out_path / "checkpoint_0000.ckpt", config, dataset, state, step=0, epoch=0)
+        writer = MetricsWriter(out_path / "metrics.log")
 
     records: list[MetricsRecord] = []
     probe_log = []
@@ -291,7 +291,8 @@ def pretrain_then_finetune(
         raise InvalidSpec("pretraining and finetuning datasets use different spaces")
     if pretrain_steps < 0:
         raise InvalidSpec("pretrain_steps must be non-negative")
-    state = _init_state(config, unlabeled_dataset)
+    # the labeled dataset's rules are checked before the first pretraining step
+    state = _init_state(config, labeled_dataset)
     for _ in range(pretrain_steps):
         state, *_ = _critic_step(config, unlabeled_dataset, state, include_rewards=False)
     return _run(config, labeled_dataset, state, out_dir, probe, probe_every)

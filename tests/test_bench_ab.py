@@ -1,5 +1,6 @@
 """One-pair smoke run of ``scripts/bench_ab.py`` on two copies of this tree."""
 
+import ast
 import importlib.util
 import json
 import shutil
@@ -13,6 +14,19 @@ def _bench_ab():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_metrics_and_directions_are_the_benchmarks():
+    # BETTER comes from BENCHMARK.json; perfbench/run.py's END_TO_END table must
+    # report the same metrics in the same directions (read without importing
+    # run.py, which sets BLAS thread variables for the whole process)
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    [table] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["END_TO_END"]
+    ]
+    assert list(_bench_ab().BETTER.items()) == [(name, better) for name, _, better, _ in table]
 
 
 def test_one_pair_writes_every_field(tmp_path):

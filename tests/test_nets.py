@@ -295,6 +295,25 @@ class TestLayout:
             nets.mlp_from_arrays(arrays, "net", densenet, layernorm)
 
     @pytest.mark.parametrize("densenet", [True, False])
+    @pytest.mark.parametrize(
+        "name, cut, error",
+        [
+            ("weight_1", lambda a: a[:, 1:], "do not chain"),
+            ("weight_2", lambda a: a[:-1], "do not chain"),
+            ("bias_0", lambda a: a[1:], "do not chain"),
+            ("ln_scale_1", lambda a: a[1:], "do not chain"),
+            ("ln_shift_0", lambda a: a[:, None], "do not chain"),
+            ("weight_0", lambda a: a.reshape(-1), "not matrices"),
+        ],
+        ids=["hidden-fan-in", "output-rows", "bias", "ln-scale", "ln-shift-2d", "weight-1d"],
+    )
+    def test_arrays_that_do_not_chain_rejected(self, rng, densenet, name, cut, error):
+        arrays = nets.mlp_to_arrays("net", init_mlp(rng, 4, (6, 5), 3, densenet=densenet))
+        arrays[f"net/{name}"] = cut(arrays[f"net/{name}"])
+        with pytest.raises(InvalidSpec, match=error):
+            nets.mlp_from_arrays(arrays, "net", densenet, True)
+
+    @pytest.mark.parametrize("densenet", [True, False])
     @pytest.mark.parametrize("layernorm", [True, False])
     def test_grads_share_the_param_layout(self, rng, densenet, layernorm):
         params = init_mlp(rng, 4, (6, 5), 3, densenet=densenet, layernorm=layernorm)

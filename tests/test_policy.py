@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,70 @@ class TestPolicyUpdate:
         climbing = [p for p in probs if p < 0.95]
         assert all(b >= a for a, b in zip(climbing, climbing[1:]))
         assert abs(probs[-1] - target) <= 0.01
+
+
+def _loss_digest(loss, grads, info):
+    """SHA-256 of a loss value, its info values (in key order) and every gradient array."""
+    h = hashlib.sha256(np.float64(loss).tobytes())
+    for key in sorted(info):
+        h.update(key.encode() + np.float64(info[key]).tobytes())
+    for g in nets.param_list(grads):
+        h.update(g.tobytes())
+    return h.hexdigest()
+
+
+def _slope_q(s, a):
+    """Q with a nonzero dQ/da that also depends on the state."""
+    return (a * a).sum(axis=1) * s[:, 0] + a[:, 0], 2.0 * a * s[:, :1] + np.eye(a.shape[1])[0]
+
+
+class _ValuesQ:
+    """A Q function that also offers ``values``, as the direct path does."""
+
+    def __call__(self, s, a):
+        raise AssertionError("the discrete KL must use values")
+
+    def values(self, s, a):
+        return _slope_q(s, a)[0]
+
+
+class TestLossBytes:
+    """Fixed-seed bytes of both decoding losses on every discrete/continuous
+    branch, entropy bonus off and on, so a rewrite of either loss must keep
+    each value and gradient bit for bit."""
+
+    def _setup(self, discrete):
+        rng = np.random.default_rng(41)
+        policy = init_policy(rng, 3, 4 if discrete else 2, (12, 12), discrete=discrete)
+        states = rng.standard_normal((6, 3))
+        actions = rng.integers(0, 4, 6) if discrete else np.tanh(rng.standard_normal((6, 2)))
+        return policy, states, actions
+
+    @pytest.mark.parametrize(
+        "discrete, q_fn, digest",
+        [
+            (True, _slope_q, "98d29b8525bfeae976b7a78473b73dd860ff15ca5a4201cd355c5cd3700f539d"),
+            (True, _ValuesQ(), "98d29b8525bfeae976b7a78473b73dd860ff15ca5a4201cd355c5cd3700f539d"),
+            (False, _slope_q, "df0704628726d691d860669dc23016066d3a1d445b7e78946375f13cbe836b26"),
+        ],
+        ids=["discrete", "discrete-values", "continuous"],
+    )
+    def test_kl_boltzmann(self, discrete, q_fn, digest):
+        policy, states, _ = self._setup(discrete)
+        got = kl_boltzmann_loss(policy, q_fn, states, tau=0.3, n_a=5, rng=np.random.default_rng(7))
+        assert _loss_digest(*got) == digest
+
+    @pytest.mark.parametrize(
+        "discrete, entropy_coeff, digest",
+        [
+            (True, 0.0, "f85f3e3432b844844712ec524cd6faf301325580e47d67ad1804776b0e6e4607"),
+            (True, 0.2, "8bb1a649e5b5a3bc7aad06a2b2abc7aaaf24f2b91d06261db2ecaa647addeb3b"),
+            (False, 0.0, "dfa2f504fa80330a162273f796c8e3c4f6f75cebccb87ca8dc09bba64726b533"),
+            (False, 0.2, "e8d861c546be3b4cc0427d0d52816b864c332e1422b682eacc1149f5523e3c90"),
+        ],
+        ids=["discrete", "discrete-entropy", "continuous", "continuous-entropy"],
+    )
+    def test_bc(self, discrete, entropy_coeff, digest):
+        policy, states, actions = self._setup(discrete)
+        got = bc_loss(policy, states, actions, entropy_coeff, rng=np.random.default_rng(7), n_a=5)
+        assert _loss_digest(*got) == digest

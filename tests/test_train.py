@@ -64,6 +64,30 @@ class TestTrainLoop:
         with pytest.raises(InvalidSpec):
             train(tiny_config(horizon=7), grid_dataset)
 
+    def test_failed_first_checkpoint_leaves_no_log_open(self, grid_dataset, tmp_path, monkeypatch):
+        import occq.training as train_mod
+
+        opened = []
+
+        class Writer(train_mod.MetricsWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                self.closed = False
+                opened.append(self)
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        def failing_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(train_mod, "MetricsWriter", Writer)
+        monkeypatch.setattr(train_mod, "save_checkpoint", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            train(tiny_config(), grid_dataset, out_dir=tmp_path)
+        assert all(w.closed for w in opened)
+
     def test_metrics_stream_well_formed(self, grid_dataset, tmp_path):
         result = train(tiny_config(), grid_dataset, out_dir=tmp_path)
         records, dropped = load_metrics(tmp_path / "metrics.log")
@@ -213,6 +237,26 @@ class TestPretrainFinetune:
         other = generate_dataset(chain, behavior_policy("uniform_random", env=chain), 3, seed=0)
         with pytest.raises(InvalidSpec):
             pretrain_then_finetune(tiny_config(), other, grid_dataset, pretrain_steps=2)
+
+    @pytest.mark.parametrize(
+        "reward_free, config",
+        [(True, tiny_config()), (False, tiny_config(horizon=7))],
+        ids=["reward-free", "horizon-mismatch"],
+    )
+    def test_labeled_dataset_checked_before_any_step(self, grid_dataset, monkeypatch, reward_free, config):
+        import occq.training as train_mod
+
+        real, calls = train_mod._critic_step, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "_critic_step", counting)
+        dataset = strip_rewards(grid_dataset) if reward_free else grid_dataset
+        with pytest.raises(InvalidSpec):
+            pretrain_then_finetune(config, strip_rewards(grid_dataset), dataset, pretrain_steps=3)
+        assert calls == []
 
     def test_pretraining_changes_the_starting_critic(self, grid_dataset):
         plain = train(tiny_config(), grid_dataset)
