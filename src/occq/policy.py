@@ -129,6 +129,22 @@ def policy_table(policy: PolicyParams, state_feats: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(out))
 
 
+def _batch_rows(policy: PolicyParams, n: int, inverse):
+    """(batch row -> row of the policy input, batch rows per input row).
+
+    Without ``inverse`` every input row is one batch row.  With it, the input
+    holds each distinct state of a discrete batch once, and batch row i is
+    input row ``inverse[i]``."""
+    if inverse is None:
+        return np.arange(n), np.ones(n)
+    if not policy.discrete:
+        raise InvalidSpec("distinct-state rows need a discrete policy")
+    inverse = np.asarray(inverse, dtype=np.int64).reshape(-1)
+    if len(inverse) and not 0 <= inverse.min() <= inverse.max() < n:
+        raise InvalidSpec(f"inverse indices must lie in [0, {n})")
+    return inverse, np.bincount(inverse, minlength=n)
+
+
 def kl_boltzmann_loss(
     policy: PolicyParams,
     q_fn,
@@ -138,6 +154,7 @@ def kl_boltzmann_loss(
     rng: np.random.Generator,
     *,
     forward=None,
+    inverse=None,
 ):
     """KL(policy || softmax(Q / tau)) up to the policy-independent constant.
 
@@ -145,11 +162,15 @@ def kl_boltzmann_loss(
     reparameterized samples per state, so the gradient includes the dQ/da
     path.  ``forward``, if given, is the ``nets.forward`` result of the
     policy net on ``state_feats``, so a caller can share it between losses.
-    Returns (loss, grads, info), ``grads`` as from ``nets.backward``.
+    ``inverse``, if given, maps each batch row to its distinct state's row
+    of ``state_feats`` (discrete only): each distinct state is scored once
+    and weighted by its count, which is the same loss and gradient as the
+    batch's rows.  Returns (loss, grads, info), ``grads`` as from ``nets.backward``.
     """
     if tau <= 0:
         raise InvalidSpec("tau must be positive")
     n = state_feats.shape[0]
+    rows, counts = _batch_rows(policy, n, inverse)
     out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
 
     if policy.discrete:
@@ -163,10 +184,11 @@ def kl_boltzmann_loss(
         q_flat = values(tiled_states, tiled_actions) if values else q_fn(tiled_states, tiled_actions)[0]
         q = q_flat.reshape(n, na)
         advantage = logp - q / tau
-        loss = float((p * advantage).sum(axis=1).mean())
-        # d/d logits of sum_a p_a (logp_a - q_a/tau) = p * (adv - sum_b p_b adv_b)
-        dout = p * (advantage - (p * advantage).sum(axis=1, keepdims=True)) / n
-        info = {"mean_q": float((p * q).sum(axis=1).mean())}
+        kl_rows = (p * advantage).sum(axis=1)
+        loss = float(kl_rows[rows].mean())
+        # d/d logits of sum_a p_a (logp_a - q_a/tau) = p * (adv - sum_b p_b adv_b), once per batch row
+        dout = p * (advantage - kl_rows[:, None]) * counts[:, None] / len(rows)
+        info = {"mean_q": float((p * q).sum(axis=1)[rows].mean())}
     else:
         mean, log_std, clip_mask = _heads(policy, out)
         a, log_prob, eps, std = _tanh_gaussian(mean, log_std, rng, n_a)
@@ -192,26 +214,35 @@ def bc_loss(
     n_a: int = 10,
     *,
     forward=None,
+    inverse=None,
 ):
     """Negative data log-likelihood minus an entropy bonus.
 
     The entropy of a continuous policy is estimated from ``n_a`` fresh
     samples per state (requires ``rng`` when entropy_coeff > 0); discrete
-    entropy is exact.  ``forward`` and the return are as in ``kl_boltzmann_loss``.
+    entropy is exact.  ``forward``, ``inverse`` and the return are as in
+    ``kl_boltzmann_loss``; ``actions`` has one entry per batch row.
     """
     n = state_feats.shape[0]
+    rows, counts = _batch_rows(policy, n, inverse)
     out, cache = forward if forward is not None else nets.forward(policy.net, state_feats)
 
     if policy.discrete:
         idx = np.asarray(actions, dtype=np.int64).reshape(-1)
+        if len(idx) != len(rows):
+            raise InvalidSpec(f"{len(idx)} actions for {len(rows)} batch rows")
         logp = _log_softmax(out)
         p = np.exp(logp)
-        nll = -float(logp[np.arange(n), idx].mean())
-        entropy = -float((p * logp).sum(axis=1).mean())
-        dout = (p - _one_hot(idx, policy.action_dim)) / n
+        nll = -float(logp[rows, idx].mean())
+        neg_h_rows = (p * logp).sum(axis=1)
+        entropy = -float(neg_h_rows[rows].mean())
+        # each row's data actions, counted: one one-hot row per batch row without ``inverse``
+        hist = np.zeros_like(p)
+        np.add.at(hist, (rows, idx), 1.0)
+        dout = (counts[:, None] * p - hist) / len(rows)
         if entropy_coeff > 0:
-            # d(-H)/d logits = p * (logp - sum_b p_b logp_b) / n
-            d_neg_h = p * (logp - (p * logp).sum(axis=1, keepdims=True)) / n
+            # d(-H)/d logits = p * (logp - sum_b p_b logp_b), once per batch row
+            d_neg_h = p * (logp - neg_h_rows[:, None]) * counts[:, None] / len(rows)
             dout = dout + entropy_coeff * d_neg_h
     else:
         mean, log_std, clip_mask = _heads(policy, out)
@@ -247,8 +278,13 @@ def policy_update(
     config: TrainConfig,
     adam: AdamState,
     rng: np.random.Generator,
+    *,
+    inverse=None,
 ):
-    """One Adam step on KL-to-Boltzmann plus the weighted BC loss."""
+    """One Adam step on KL-to-Boltzmann plus the weighted BC loss.
+
+    ``inverse`` is as in ``kl_boltzmann_loss``: with it, ``state_feats``
+    holds each distinct state once and ``actions`` one entry per batch row."""
     # Both losses read the same policy output; ``nets.backward`` leaves the cache intact.
     fwd = nets.forward(policy.net, state_feats)
     kl, grads, info = kl_boltzmann_loss(
@@ -259,6 +295,7 @@ def policy_update(
         n_a=config.n_action_samples,
         rng=rng,
         forward=fwd,
+        inverse=inverse,
     )
     metrics = {"policy_kl_loss": kl, "mean_q": info["mean_q"], "bc_loss": 0.0}
     if config.lambda_bc > 0:
@@ -270,6 +307,7 @@ def policy_update(
             rng=rng,
             n_a=config.n_action_samples,
             forward=fwd,
+            inverse=inverse,
         )
         metrics["bc_loss"] = bc
         grads = nets.map_params(lambda k, b: k + config.lambda_bc * b, grads, bc_grads)

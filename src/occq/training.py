@@ -28,7 +28,7 @@ from .critic import CriticParams, critic_update, encode_future, future_encode_ro
 from .data import OfflineDataset, sample_batch
 from .envs import Env, rollout
 from .errors import FormatError, InvalidSpec, NumericalFault, OccqError
-from .features import Featurizer, featurizer_for
+from .features import Featurizer, TabularFeaturizer, featurizer_for
 from .metrics import MetricsRecord, MetricsWriter
 from .nets import AdamState
 from .policy import PolicyParams, deterministic_action, policy_update
@@ -205,10 +205,14 @@ def _train_step(config, dataset, state: RunState):
     if config.policy_state_cap and batch.batch_size > config.policy_state_cap:
         pick = state.rng_actions.choice(batch.batch_size, size=config.policy_state_cap, replace=False)
         states, actions = states[pick], actions[pick]
+    inverse = None
+    if isinstance(state.featurizer, TabularFeaturizer):
+        # the policy phase runs once per distinct state, weighted by its count
+        states, inverse = np.unique(states, return_inverse=True)
     feats = state.featurizer.state_feats(states)
     rows_before = future_encode_rows()
     pol, adam_p, pm = policy_update(
-        state.policy, feats, actions, q_fn, config, state.adam_policy, state.rng_actions
+        state.policy, feats, actions, q_fn, config, state.adam_policy, state.rng_actions, inverse=inverse
     )
     rows = future_encode_rows() - rows_before
     return replace(state, rff=rff_state, policy=pol, adam_policy=adam_p), {**cm, **pm}, rows

@@ -35,8 +35,8 @@ PRETRAIN_STEPS = 10
 
 GOLDEN = {
     "grid": (
-        "9ac5023752ded2e6e769d71ef544ef7ffcbba47f8962286f919328620eaa9af7",
-        "d0789c796cb305f820dad32ad7971e0e1b1a44e2bb4935483530074163d21d3a",
+        "f8da1f6cc1be26443f55af2cc55c2358865f41ec8aa4437f82481645eba0f06b",
+        "45a6fe774668815f032a8fe99b8ab01f9bf4fbf780a5acfb0d2e435351fdeb57",
     ),
     "mountain_car": (
         "26a87321c46609bf772d8b17f61fc52162fefc513c8ed0767a6dacc7de2af338",
@@ -45,8 +45,8 @@ GOLDEN = {
 }
 GOLDEN_PRETRAIN = {
     "grid": (
-        "5e19d44a9982c7f42484be9ec0bc17aa9df6e50f8d03664e0a6d6627d4ee7c75",
-        "6617b39b6e6c0e5fdc51d9d4b4aa792f0d0c138cddc9951c157ca9a21bca29d5",
+        "ac507074daf0cc5f0c088f92b8df37c1a99d2186f7c1af4c3b6c191851af4c72",
+        "9dc5edc6cf9e74c4498b1b20268e4be6bc3a29476a44761ee9ec9e40fabde189",
     ),
     "mountain_car": (
         "ddb567d462858198d4236cf8a8ec52d3e0fff41383f26530add903fb3eab8fee",

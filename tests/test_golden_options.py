@@ -34,8 +34,8 @@ GOLDEN = {
         "12addbbb1c1af41b57b1fb2fc12239c0da976a2cb2d35bbd1f34d0b6ec7b358b",
     ),
     "grid-no-layernorm": (
-        "c71cbf40e46a5f024c3ba2473c76f6a4cf6642248b01e6c5e67bf2adddaf95fe",
-        "dbea705bf7968e7cb32cdcc3c2d579e36122951a6d771a653f5e11db896a221e",
+        "a419a77706e17adfff023eb70ecdea39e03dbbfb5b1ebe740b541dc33d38a12f",
+        "9f9ca18c51893c7d0d77e2d7938338d4965d8b3f9c739cca733a205891d63d0d",
     ),
 }
 

@@ -447,3 +447,98 @@ class TestLossBytes:
         policy, states, actions = self._setup(discrete)
         got = bc_loss(policy, states, actions, entropy_coeff, rng=np.random.default_rng(7), n_a=5)
         assert _loss_digest(*got) == digest
+
+
+def _update_digest(policy, adam, metrics):
+    """SHA-256 of a ``policy_update`` result: metrics (in key order), new arrays and Adam moments."""
+    h = hashlib.sha256()
+    for key in sorted(metrics):
+        h.update(key.encode() + np.float64(metrics[key]).tobytes())
+    for a in nets.param_list(policy.net) + [adam.m, adam.v]:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestDistinctStates:
+    """``inverse`` runs the discrete policy phase once per distinct state,
+    weighted by its count: the batch rows' sums, regrouped."""
+
+    # state 3 appears five times with three different actions; state 2 never
+    KEYS = np.array([3, 0, 3, 3, 1, 0, 3, 4, 1, 3])
+    ACTIONS = np.array([0, 2, 1, 0, 3, 2, 2, 1, 3, 0])
+
+    def _config(self, **kw):
+        return TrainConfig(hidden_sizes=(12, 12), learning_rate=0.05, n_action_samples=8, tau_boltzmann=0.3, **kw)
+
+    @pytest.mark.parametrize("lambda_bc", [0.0, 0.5])
+    @pytest.mark.parametrize("entropy_coeff", [0.0, 0.2])
+    def test_matches_full_rows(self, lambda_bc, entropy_coeff):
+        config = self._config(lambda_bc=lambda_bc, entropy_coeff=entropy_coeff)
+        policy = init_policy(np.random.default_rng(43), 5, 4, (12, 12), discrete=True)
+        adam = nets.init_adam(nets.param_list(policy.net), 0.05)
+        distinct, inverse = np.unique(self.KEYS, return_inverse=True)
+        eye = np.eye(5)
+        full = policy_update(policy, eye[self.KEYS], self.ACTIONS, _slope_q, config, adam, np.random.default_rng(7))
+        grouped = policy_update(
+            policy, eye[distinct], self.ACTIONS, _slope_q, config, adam, np.random.default_rng(7), inverse=inverse
+        )
+
+        def rel(a, b):
+            a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+            return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+        assert full[2].keys() == grouped[2].keys()
+        for key in full[2]:
+            assert (full[2][key] == 0.0) == (grouped[2][key] == 0.0), key
+            if full[2][key]:
+                assert rel(grouped[2][key], full[2][key]) <= 1e-12, key
+        want = nets.param_list(full[0].net) + [full[1].m, full[1].v]
+        got = nets.param_list(grouped[0].net) + [grouped[1].m, grouped[1].v]
+        assert all(rel(g, w) <= 1e-12 for g, w in zip(got, want))
+
+    def test_losses_match_full_rows(self):
+        policy = init_policy(np.random.default_rng(43), 5, 4, (12, 12), discrete=True)
+        distinct, inverse = np.unique(self.KEYS, return_inverse=True)
+        eye = np.eye(5)
+        for loss in (
+            lambda s, **kw: kl_boltzmann_loss(policy, _ValuesQ(), s, tau=0.3, n_a=5, rng=None, **kw),
+            lambda s, **kw: bc_loss(policy, s, self.ACTIONS, entropy_coeff=0.2, **kw),
+        ):
+            full, grouped = loss(eye[self.KEYS]), loss(eye[distinct], inverse=inverse)
+            assert grouped[0] == pytest.approx(full[0], rel=1e-12, abs=0.0)
+            assert grouped[2] == pytest.approx(full[2], rel=1e-12, abs=0.0)
+            for g, w in zip(nets.param_list(grouped[1]), nets.param_list(full[1])):
+                assert np.allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
+
+    def test_without_inverse_keeps_bytes(self):
+        # fixed-seed bytes of policy_update on full rows, continuous and discrete
+        config = self._config(lambda_bc=0.5, entropy_coeff=0.2)
+        digests = []
+        for discrete in (False, True):
+            rng = np.random.default_rng(47)
+            policy = init_policy(rng, 3, 4 if discrete else 2, (12, 12), discrete=discrete)
+            states = rng.standard_normal((6, 3))
+            actions = rng.integers(0, 4, 6) if discrete else np.tanh(rng.standard_normal((6, 2)))
+            adam = nets.init_adam(nets.param_list(policy.net), 0.05)
+            digests.append(_update_digest(
+                *policy_update(policy, states, actions, _slope_q, config, adam, np.random.default_rng(7))
+            ))
+        assert digests == [
+            "f9ba85d443d747e53b3f00a055e385e7a7006bd1dd69de127f3d48e7aa19fb11",
+            "95f084e02c2df0ba0c3372ecf5b638dfc7419b75f3a23458b0fa38c1ca38a78f",
+        ]
+
+    def test_rejects_bad_inverse(self):
+        config = self._config(lambda_bc=0.5)
+        continuous = init_policy(np.random.default_rng(0), 3, 2, (8,), discrete=False)
+        adam = nets.init_adam(nets.param_list(continuous.net), 0.05)
+        with pytest.raises(InvalidSpec, match="discrete"):
+            policy_update(
+                continuous, np.ones((2, 3)), np.zeros((3, 2)), _slope_q, config, adam,
+                np.random.default_rng(0), inverse=[0, 1, 1],
+            )
+        policy = init_policy(np.random.default_rng(0), 3, 2, (8,), discrete=True)
+        with pytest.raises(InvalidSpec, match="inverse"):
+            kl_boltzmann_loss(policy, _slope_q, np.ones((2, 3)), 0.3, 5, None, inverse=[0, 2])
+        with pytest.raises(InvalidSpec, match="2 actions for 3 batch rows"):
+            bc_loss(policy, np.ones((2, 3)), [0, 1], 0.0, inverse=[0, 1, 1])

@@ -110,6 +110,23 @@ class TestTrainLoop:
         direct = train(tiny_config(use_rff=False), grid_dataset)
         assert direct.future_rows_in_policy_phase > 0
 
+    def test_tabular_policy_phase_runs_on_distinct_states(self, grid_dataset, monkeypatch):
+        import occq.training as train_mod
+
+        seen = []
+        real = train_mod.policy_update
+
+        def spy(pol, feats, actions, *args, inverse=None):
+            seen.append((feats, actions, inverse))
+            return real(pol, feats, actions, *args, inverse=inverse)
+
+        monkeypatch.setattr(train_mod, "policy_update", spy)
+        train(tiny_config(), grid_dataset)
+        assert len(seen) == 10
+        for feats, actions, inverse in seen:
+            assert len(np.unique(feats, axis=0)) == len(feats) < len(actions) == len(inverse)
+            assert np.array_equal(np.unique(inverse), np.arange(len(feats)))
+
     def test_probe_called_on_schedule(self, grid_dataset):
         result = train(
             tiny_config(),
