@@ -22,7 +22,7 @@ import numpy as np
 
 from .envs import Env, SpaceInfo, Trajectory, rollout
 from .errors import FormatError, InvalidSpec, RewardRequired, VersionError
-from .fileio import _read_count, read_text, replacing
+from .fileio import _read_count, _read_hex, read_text, replacing
 from .truncgeom import sample_supports
 
 _MAGIC = "occq-dataset"
@@ -231,9 +231,10 @@ def _write_array(out: list[str], arr: np.ndarray, kind: str):
 
 
 def _hex_float(token: str, line: int) -> float:
-    """``token`` as a C99 hex float; anything else raises ``FormatError`` at ``line``."""
+    """``token`` as ``float.hex`` writes it (``fileio._read_hex``); anything else raises
+    ``FormatError`` at ``line``."""
     try:
-        return float.fromhex(token)
+        return _read_hex(token)
     except (ValueError, OverflowError):
         raise FormatError(f"expected hex float, got {token!r}", line=line) from None
 
@@ -262,32 +263,58 @@ class _TokenReader:
             raise FormatError("trailing tokens", line=self.line)
 
 
-def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63) -> np.ndarray:
+def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63, per_token: bool = False) -> np.ndarray:
     """A count ``n``, then ``n`` indices in [0, ``bound``) or ``n`` rows of ``width`` hex floats.
 
-    The tokens are converted in one pass; only when that fails are they checked one by one,
-    to name the first bad token.  A count beyond the line's end is a truncated record."""
+    The tokens are converted in one pass: indices after one check that their joined text is
+    ASCII digits, floats by ``float.fromhex``, whose stray forms ``_read_record`` catches for the
+    whole record.  With ``per_token``, or when the pass fails, they are read one by one, to name
+    the first bad token or to read ``nan`` and ``inf``.  A count beyond the line's end is a
+    truncated record, unless a token before the end is bad."""
     n = reader.take_int()
     size = n if kind == "index" else n * width
     tokens = reader.tokens[reader.pos : reader.pos + size]
     reader.pos += len(tokens)
     try:
         if kind == "index":
-            values = list(map(int, tokens))
-            if values and not 0 <= min(values) <= max(values) < bound:
+            joined = "".join(tokens)
+            if not (joined.isascii() and joined.isdigit()):
                 raise ValueError
+            values = list(map(int, tokens))
+            if values and max(values) >= bound:
+                raise ValueError
+        elif per_token:
+            raise ValueError
         else:
             values = list(map(float.fromhex, tokens))
     except (ValueError, OverflowError):
-        for tok in tokens:  # raises at the first bad token
-            if kind == "index":
-                _read_count(tok, reader.line, bound)
-            else:
-                _hex_float(tok, reader.line)
+        if kind == "index":
+            values = [_read_count(tok, reader.line, bound) for tok in tokens]
+        else:  # a count past the line's end takes in the integer fields after it: left to the truncation check
+            truncated = len(tokens) < size
+            values = [_hex_float(tok, reader.line) for tok in tokens if not (truncated and tok.isdigit())]
     if len(tokens) < size:
         raise FormatError("truncated record", line=reader.line)
     arr = np.array(values, dtype=_ELEMENT[kind][0])
     return arr if kind == "index" else arr.reshape(n, width)
+
+
+def _read_record(line: str, lineno: int, space: SpaceInfo, per_token: bool = False):
+    """An episode record: states, actions, rewards and the terminal flag.
+
+    ``float.fromhex`` also reads a float without its ``0x`` (``-0.1`` as -0x0.1), so the
+    line's count of ``x`` must equal its count of float tokens: one ``x`` each, in ``0x``, and
+    none in an integer.  Otherwise the record is read again token by token."""
+    reader = _TokenReader(line.split(), line=lineno)
+    states = _read_array(reader, space.state_kind, space.state_dim, space.n_states, per_token)
+    actions = _read_array(reader, space.state_kind, space.action_dim, space.n_actions, per_token)
+    rewards = _read_array(reader, "vector", 1, per_token=per_token).reshape(-1)
+    terminal = bool(reader.take_int(2))
+    reader.done()
+    floats = rewards.size + (states.size + actions.size if space.state_kind == "vector" else 0)
+    if not per_token and line.count("x") != floats:
+        return _read_record(line, lineno, space, per_token=True)
+    return states, actions, rewards, terminal
 
 
 _BOUNDS = ("state_low", "state_high", "action_low", "action_high")  # a vector space's bounds, in file order
@@ -375,12 +402,7 @@ def load(path) -> OfflineDataset:
         raise FormatError(f"{n_episodes} episode records declared, {len(lines) - body} found")
     episodes = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
-        reader = _TokenReader(line.split(), line=lineno)
-        states = _read_array(reader, space.state_kind, space.state_dim, space.n_states)
-        actions = _read_array(reader, space.state_kind, space.action_dim, space.n_actions)
-        rewards = _read_array(reader, "vector", 1).reshape(-1)
-        terminal = bool(reader.take_int(2))
-        reader.done()
+        states, actions, rewards, terminal = _read_record(line, lineno, space)
         if not rewards_available and not rewards.size:
             rewards = None
         episodes.append(Trajectory(states=states, actions=actions, rewards=rewards, terminal=terminal))

@@ -39,12 +39,23 @@ def read_text(path) -> str:
 
 
 def _read_count(token: str, line: int | None, bound: int = 2**63) -> int:
-    """``token`` as a decimal integer in [0, ``bound``), an int64 by default; anything else
-    raises ``FormatError`` at ``line``.  The text formats store no negative integer."""
+    """``token`` as ASCII decimal digits, an integer in [0, ``bound``), an int64 by default;
+    anything else, such as ``+11``, ``0_0`` or non-ASCII digits, raises ``FormatError`` at
+    ``line``.  The text formats store no negative integer."""
     try:
-        value = int(token)
-    except ValueError:
+        value = int(token) if token.isascii() and token.isdigit() else -1
+    except ValueError:  # more digits than ``int`` converts
         value = -1
     if not 0 <= value < bound:
         raise FormatError(f"expected an integer in [0, {bound}), got {token!r}", line=line)
     return value
+
+
+def _read_hex(token: str) -> float:
+    """``token`` as a hex float in ``float.hex``'s ``0x`` form, after an optional sign, or as
+    ``nan``, ``inf`` or ``-inf``.  Anything else raises ``ValueError``: ``float.fromhex`` alone
+    would read ``-0.1`` as -0x0.1, that is -0.0625.  A value beyond the float range raises
+    ``OverflowError``."""
+    if not token.startswith(("0x", "-0x", "+0x")) and token not in ("nan", "inf", "-inf"):
+        raise ValueError(f"not a hex float: {token!r}")
+    return float.fromhex(token)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import FormatError
-from .fileio import _read_count, read_text
+from .fileio import _read_count, _read_hex, read_text
 
 
 @dataclass
@@ -44,7 +44,7 @@ class MetricsRecord:
             if not sep or key not in _SERIALIZED or key in values:
                 raise FormatError(f"bad or repeated metrics token {token!r}", line=lineno)
             try:
-                values[key] = _INTS[key](raw, lineno) if key in _INTS else float.fromhex(raw)
+                values[key] = _INTS[key](raw, lineno) if key in _INTS else _read_hex(raw)
             except (ValueError, OverflowError):
                 raise FormatError(f"bad value for {key!r}: {raw!r}", line=lineno) from None
         missing = [name for name in _ALWAYS_WRITTEN if name not in values]

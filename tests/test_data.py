@@ -359,6 +359,56 @@ class TestEpisodeRules:
         assert str(exc.value) == "line 10: need exactly one more state than actions"
 
 
+# Forms of a written integer or float token that ``int`` or ``float.fromhex`` still read, but
+# that the writers never write; each maps the written token to the altered one.
+INTEGER_FORMS = {
+    "plus-sign": lambda t: "+" + t,
+    "underscore": lambda t: "0_" + t,
+    "arabic-indic-digits": lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+FLOAT_FORMS = {
+    "no-0x": lambda t: t.replace("0x", ""),
+    "decimal": lambda t: "-0.1",
+    "capital-X": lambda t: t.replace("0x", "0X"),
+    "infinity": lambda t: "Infinity",
+}
+
+
+class TestStrictTokens:
+    """Counts, indices and flags are ASCII decimal digits and floats are ``float.hex`` literals;
+    any other form is a ``FormatError`` naming its line, not a value."""
+
+    @pytest.mark.parametrize("form", INTEGER_FORMS)
+    @pytest.mark.parametrize(
+        "line_index, token_index",
+        [(3, 1), (8, 0), (8, 1), (8, -1)],
+        ids=["header-horizon", "record-state-count", "record-first-state", "record-terminal"],
+    )
+    def test_integer_forms(self, chain_dataset, tmp_path, line_index, token_index, form):
+        path = tmp_path / "d.txt"
+        save(chain_dataset, path)
+        written = path.read_text().splitlines()[line_index].split()[token_index]
+        replace_token(path, line_index, token_index, INTEGER_FORMS[form](written))
+        with pytest.raises(FormatError, match="expected an integer") as exc:
+            load(path)
+        assert exc.value.line == line_index + 1
+
+    @pytest.mark.parametrize("form", FLOAT_FORMS)
+    @pytest.mark.parametrize(
+        "dataset, line_index, token_index",
+        [("chain_dataset", 2, 1), ("car_dataset", 6, 4), ("car_dataset", 8, 1), ("chain_dataset", 8, -2)],
+        ids=["header-gamma", "header-space-bound", "record-state", "record-reward"],
+    )
+    def test_float_forms(self, request, tmp_path, dataset, line_index, token_index, form):
+        path = tmp_path / "d.txt"
+        save(request.getfixturevalue(dataset), path)
+        written = path.read_text().splitlines()[line_index].split()[token_index]
+        replace_token(path, line_index, token_index, FLOAT_FORMS[form](written))
+        with pytest.raises(FormatError, match="expected hex float") as exc:
+            load(path)
+        assert exc.value.line == line_index + 1
+
+
 class TestStripRewards:
     def test_idempotent(self, chain_dataset):
         once = strip_rewards(chain_dataset)

@@ -91,6 +91,32 @@ class TestMetrics:
         with pytest.raises(FormatError, match=f"line 4: record is missing {name}$"):
             MetricsRecord.from_line(line, lineno=4)
 
+    @pytest.mark.parametrize("key", ["step", "epoch", "fault"])
+    @pytest.mark.parametrize(
+        "form",
+        [lambda t: "+" + t, lambda t: "0_" + t, lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))],
+        ids=["plus-sign", "underscore", "arabic-indic-digits"],
+    )
+    def test_integer_forms_the_writer_never_writes_rejected(self, key, form):
+        line = " ".join(
+            f"{key}={form(t.partition('=')[2])}" if t.startswith(f"{key}=") else t
+            for t in sample_record(step=3).to_line().split()
+        )
+        with pytest.raises(FormatError, match="^line 4: expected an integer"):
+            MetricsRecord.from_line(line, lineno=4)
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "0X1.8P+0", "Infinity"])
+    def test_float_forms_the_writer_never_writes_rejected(self, value):
+        # float.fromhex alone reads 1.5 as 0x1.5, that is 1.3125
+        line = COMPLETE.format(1).replace("critic_loss=0x0p+0", f"critic_loss={value}")
+        with pytest.raises(FormatError, match="^line 4: bad value for 'critic_loss'"):
+            MetricsRecord.from_line(line, lineno=4)
+
+    def test_non_finite_values_round_trip(self):
+        rec = sample_record(critic_loss=float("nan"), mean_q=float("-inf"), bc_loss=float("inf"))
+        parsed = MetricsRecord.from_line(rec.to_line())
+        assert parsed.to_line() == rec.to_line()
+
     def test_fault_flag_round_trips_as_bool(self):
         for fault in (False, True):
             parsed = MetricsRecord.from_line(sample_record(fault=fault).to_line())
