@@ -45,8 +45,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict[str, str]):
 
 
 def load_checkpoint(path):
-    """Read back (arrays, meta).  A file that is not a whole checkpoint of
-    this version raises ``FormatError`` or ``VersionError`` naming ``path``."""
+    """Read back (arrays, meta).  A file that is not exactly one checkpoint of
+    this version, with no repeated key or name, raises ``FormatError`` or
+    ``VersionError`` naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -69,13 +70,16 @@ def _parse(blob: bytes):
         meta = {}
         for _ in range(n_meta):
             key, pos = _read_str(view, pos)
-            val, pos = _read_str(view, pos)
-            meta[key] = val
+            if key in meta:
+                raise FormatError(f"metadata key {key!r} repeated")
+            meta[key], pos = _read_str(view, pos)
         (n_arrays,) = struct.unpack_from("<I", view, pos)
         pos += 4
         arrays = {}
         for _ in range(n_arrays):
             name, pos = _read_str(view, pos)
+            if name in arrays:
+                raise FormatError(f"array {name!r} repeated")
             (code, ndim) = struct.unpack_from("<BB", view, pos)
             pos += 2
             if code not in _DTYPES:
@@ -94,6 +98,8 @@ def _parse(blob: bytes):
             pos += nbytes
     except struct.error:
         raise FormatError("truncated checkpoint") from None
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} bytes after the last array")
     return arrays, meta
 
 

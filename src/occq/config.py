@@ -88,6 +88,11 @@ class TrainConfig:
             raise InvalidSpec("bad epoch structure")
         if not 0.0 <= self.ema_beta <= 1.0 or not 0.0 < self.reward_feature_ema <= 1.0:
             raise InvalidSpec("EMA coefficients must lie in [0, 1]")
+        if self.use_rff and not (self.l2_normalize and self.tau_nce == 1):
+            raise InvalidSpec(
+                "use_rff needs l2_normalize and tau_nce = 1: the random features approximate exp(x . y) "
+                "only at unit norm and unit temperature"
+            )
 
 
 _FIELD_TYPES = typing.get_type_hints(TrainConfig)

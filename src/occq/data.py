@@ -304,7 +304,9 @@ def _read_record(line: str, lineno: int, space: SpaceInfo, per_token: bool = Fal
 
     ``float.fromhex`` also reads a float without its ``0x`` (``-0.1`` as -0x0.1), so the
     line's count of ``x`` must equal its count of float tokens: one ``x`` each, in ``0x``, and
-    none in an integer.  Otherwise the record is read again token by token."""
+    none in an integer.  It also reads ``+0x``, which ``float.hex`` never writes: an exponent's
+    digits are followed by whitespace, so ``+0x`` in the line is a signed token.  Otherwise
+    the record is read again token by token."""
     reader = _TokenReader(line.split(), line=lineno)
     states = _read_array(reader, space.state_kind, space.state_dim, space.n_states, per_token)
     actions = _read_array(reader, space.state_kind, space.action_dim, space.n_actions, per_token)
@@ -312,7 +314,7 @@ def _read_record(line: str, lineno: int, space: SpaceInfo, per_token: bool = Fal
     terminal = bool(reader.take_int(2))
     reader.done()
     floats = rewards.size + (states.size + actions.size if space.state_kind == "vector" else 0)
-    if not per_token and line.count("x") != floats:
+    if not per_token and (line.count("x") != floats or "+0x" in line):
         return _read_record(line, lineno, space, per_token=True)
     return states, actions, rewards, terminal
 

@@ -72,7 +72,7 @@ def _latent_rows(rff: RFFState, z) -> np.ndarray:
 
 
 def rff_features(rff: RFFState, z: np.ndarray) -> np.ndarray:
-    """sqrt(2e/k) * cos(W z + b) for each row of ``z``, shape (n, latent_dim)."""
+    """sqrt(2e/k) * cos(W z + b) for each row of ``z``, shape (n, feature_dim)."""
     return _projected_trig(rff, _latent_rows(rff, z), np.cos, np.sqrt(2.0 * np.e / rff.feature_dim))
 
 

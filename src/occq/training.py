@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import critic as critic_mod
-from . import native, nets, policy as policy_mod, rff as rff_mod
+from . import nets, policy as policy_mod, rff as rff_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_kv, config_hash, config_to_kv, parse_kv
 from .critic import CriticParams, critic_update, encode_future, future_encode_rows
@@ -70,12 +70,6 @@ def _init_state(config: TrainConfig, dataset: OfflineDataset) -> RunState:
         raise InvalidSpec("full training needs a reward-labeled dataset")
     if config.horizon and config.horizon != dataset.horizon:
         raise InvalidSpec(f"config horizon {config.horizon} does not match dataset horizon {dataset.horizon}")
-    if config.use_rff and not (config.l2_normalize and config.tau_nce == 1):
-        raise InvalidSpec(
-            "use_rff needs l2_normalize and tau_nce = 1: the random features approximate exp(x . y) "
-            "only at unit norm and unit temperature"
-        )
-    native.keep_temporaries_on_heap()
     rng_critic, rng_policy, rng_rff, rng_data, rng_actions = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)
     )

@@ -371,6 +371,7 @@ FLOAT_FORMS = {
     "decimal": lambda t: "-0.1",
     "capital-X": lambda t: t.replace("0x", "0X"),
     "infinity": lambda t: "Infinity",
+    "plus-sign": lambda t: "+" + t.removeprefix("-"),
 }
 
 

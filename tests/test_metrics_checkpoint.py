@@ -105,7 +105,7 @@ class TestMetrics:
         with pytest.raises(FormatError, match="^line 4: expected an integer"):
             MetricsRecord.from_line(line, lineno=4)
 
-    @pytest.mark.parametrize("value", ["1.5", "-0.1", "0X1.8P+0", "Infinity"])
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "0X1.8P+0", "Infinity", "+0x1.8p+0"])
     def test_float_forms_the_writer_never_writes_rejected(self, value):
         # float.fromhex alone reads 1.5 as 0x1.5, that is 1.3125
         line = COMPLETE.format(1).replace("critic_loss=0x0p+0", f"critic_loss={value}")
@@ -231,6 +231,30 @@ class TestCheckpoint:
         path.write_bytes(data.replace(struct.pack("<Q", 4), struct.pack("<Q", 2**62), 1))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_bytes_after_the_last_array_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros((2, 2))}, {"k": "v"})
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(FormatError, match="7 bytes after the last array") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_repeated_metadata_key_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros(2)}, {"ka": "first", "kb": "second"})
+        path.write_bytes(path.read_bytes().replace(b"kb", b"ka"))
+        with pytest.raises(FormatError, match="metadata key 'ka' repeated") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_repeated_array_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"wa": np.zeros(2), "wb": np.ones(3)}, {"k": "v"})
+        path.write_bytes(path.read_bytes().replace(b"wb", b"wa"))
+        with pytest.raises(FormatError, match="array 'wa' repeated") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
         "array",

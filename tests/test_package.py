@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,11 @@ def test_importing_one_module_loads_only_that_module():
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["occq", "occq.errors"]
+
+
+def test_readme_layout_names_exactly_the_modules():
+    src = Path(occq.__file__).parent
+    readme = (src.parents[1] / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+\.py)\s", block, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(path.name for path in src.glob("*.py"))

@@ -367,3 +367,6 @@ class TestConfigSerialization:
             TrainConfig(rff_dim=0)
         with pytest.raises(InvalidSpec, match="horizon must be non-negative"):
             TrainConfig(horizon=-1)
+        with pytest.raises(InvalidSpec, match="use_rff needs l2_normalize and tau_nce = 1"):
+            TrainConfig(use_rff=True, tau_nce=0.5)
+        TrainConfig(use_rff=False, l2_normalize=False, tau_nce=0.5)
