@@ -24,17 +24,12 @@ from .config import TrainConfig
 from .errors import BatchTooSmall, NumericalFault
 from .nets import AdamState, MLPParams
 
-# Rows pushed through the future encoder (either copy) since the last reset.
+# Rows pushed through the future encoder (either copy) since import.
 _FUTURE_ENCODE_ROWS = 0
 
 
 def future_encode_rows() -> int:
     return _FUTURE_ENCODE_ROWS
-
-
-def reset_future_encode_rows():
-    global _FUTURE_ENCODE_ROWS
-    _FUTURE_ENCODE_ROWS = 0
 
 
 @dataclass(eq=False)
@@ -107,23 +102,9 @@ def embedding_backward(critic: CriticParams, net: MLPParams, raw, cache, d_emb, 
     return nets.backward(net, cache, d_raw, param_grads=param_grads)
 
 
-def _contrastive_logits(critic: CriticParams, anchor_feats, positive_feats):
-    if len(anchor_feats) < 2:
-        raise BatchTooSmall("need at least two anchors for a contrastive batch")
-    logits, anchor, positive = pair_logits(critic, anchor_feats, positive_feats)
-    if not np.all(np.isfinite(logits)):
-        raise NumericalFault("non-finite logits")
-    return logits, anchor, positive
-
-
-def critic_logits(critic: CriticParams, anchor_feats: np.ndarray, positive_feats: np.ndarray) -> np.ndarray:
-    """K x K similarity matrix: entry (i, j) scores anchor i against
-    positive j; the diagonal holds the true pairs."""
-    return _contrastive_logits(critic, anchor_feats, positive_feats)[0]
-
-
 def _softmax_lse(logits: np.ndarray):
-    """Row-wise softmax and log-sum-exp of a finite logit matrix."""
+    """Row-wise softmax and log-sum-exp of a logit matrix; a non-finite logit
+    raises ``NumericalFault``."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NumericalFault("non-finite logits")
@@ -179,9 +160,13 @@ def critic_update(
     """One gradient step on both encoders, then the EMA target refresh.
 
     The batch needs no rewards, so reward-free pretraining runs through this
-    exact code path.  Returns (critic, adam, metrics).
+    exact code path.  Returns (critic, adam, metrics).  Fewer than two anchors
+    raise ``BatchTooSmall`` before anything is encoded; a non-finite logit
+    raises ``NumericalFault`` before any array or Adam moment changes.
     """
-    logits, (a_emb, a_raw, a_cache), (p_emb, p_raw, p_cache) = _contrastive_logits(critic, anchor_feats, positive_feats)
+    if len(anchor_feats) < 2:
+        raise BatchTooSmall("need at least two anchors for a contrastive batch")
+    logits, (a_emb, a_raw, a_cache), (p_emb, p_raw, p_cache) = pair_logits(critic, anchor_feats, positive_feats)
     loss, reg, dlogits, d_reg = _loss_terms(logits)
     if config.lambda_partition > 0:
         dlogits = dlogits + config.lambda_partition * d_reg

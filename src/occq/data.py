@@ -14,6 +14,7 @@ the batch so the in-batch negatives are not all from a single trajectory.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -220,6 +221,8 @@ def _hex(x: float) -> str:
     return float(x).hex()
 
 
+# ``+0x`` in a float array's joined tokens: a signed token, which ``float.hex`` never writes.
+_PLUS_0X = re.compile(r"\+0x")
 # Each array kind's element type and the text of one element.
 _ELEMENT = {"index": (np.int64, str), "vector": (np.float64, float.hex)}
 
@@ -231,7 +234,7 @@ def _write_array(out: list[str], arr: np.ndarray, kind: str):
 
 
 def _hex_float(token: str, line: int) -> float:
-    """``token`` as ``float.hex`` writes it (``fileio._read_hex``); anything else raises
+    """``token`` as ``fileio._read_hex`` reads it; anything else raises
     ``FormatError`` at ``line``."""
     try:
         return _read_hex(token)
@@ -263,29 +266,30 @@ class _TokenReader:
             raise FormatError("trailing tokens", line=self.line)
 
 
-def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63, per_token: bool = False) -> np.ndarray:
+def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63) -> np.ndarray:
     """A count ``n``, then ``n`` indices in [0, ``bound``) or ``n`` rows of ``width`` hex floats.
 
-    The tokens are converted in one pass: indices after one check that their joined text is
-    ASCII digits, floats by ``float.fromhex``, whose stray forms ``_read_record`` catches for the
-    whole record.  With ``per_token``, or when the pass fails, they are read one by one, to name
-    the first bad token or to read ``nan`` and ``inf``.  A count beyond the line's end is a
-    truncated record, unless a token before the end is bad."""
+    The tokens are converted in one pass after one check of their joined text: indices must be
+    ASCII digits; floats need one ``x`` each, in ``0x``, and no ``+0x``, for ``float.fromhex``
+    also reads ``-0.1`` (as -0x0.1) and ``+0x1p+0``, which ``float.hex`` never writes.  When the
+    check or the pass fails, the tokens are read one by one, to name the first bad token or to
+    read ``nan`` and ``inf``.  A count beyond the line's end is a truncated record, unless a
+    token before the end is bad."""
     n = reader.take_int()
     size = n if kind == "index" else n * width
     tokens = reader.tokens[reader.pos : reader.pos + size]
     reader.pos += len(tokens)
+    joined = "".join(tokens)
     try:
         if kind == "index":
-            joined = "".join(tokens)
             if not (joined.isascii() and joined.isdigit()):
                 raise ValueError
             values = list(map(int, tokens))
             if values and max(values) >= bound:
                 raise ValueError
-        elif per_token:
-            raise ValueError
         else:
+            if joined.count("x") != len(tokens) or _PLUS_0X.search(joined):
+                raise ValueError
             values = list(map(float.fromhex, tokens))
     except (ValueError, OverflowError):
         if kind == "index":
@@ -299,23 +303,14 @@ def _read_array(reader: _TokenReader, kind: str, width: int, bound: int = 2**63,
     return arr if kind == "index" else arr.reshape(n, width)
 
 
-def _read_record(line: str, lineno: int, space: SpaceInfo, per_token: bool = False):
-    """An episode record: states, actions, rewards and the terminal flag.
-
-    ``float.fromhex`` also reads a float without its ``0x`` (``-0.1`` as -0x0.1), so the
-    line's count of ``x`` must equal its count of float tokens: one ``x`` each, in ``0x``, and
-    none in an integer.  It also reads ``+0x``, which ``float.hex`` never writes: an exponent's
-    digits are followed by whitespace, so ``+0x`` in the line is a signed token.  Otherwise
-    the record is read again token by token."""
+def _read_record(line: str, lineno: int, space: SpaceInfo):
+    """An episode record: states, actions, rewards and the terminal flag."""
     reader = _TokenReader(line.split(), line=lineno)
-    states = _read_array(reader, space.state_kind, space.state_dim, space.n_states, per_token)
-    actions = _read_array(reader, space.state_kind, space.action_dim, space.n_actions, per_token)
-    rewards = _read_array(reader, "vector", 1, per_token=per_token).reshape(-1)
+    states = _read_array(reader, space.state_kind, space.state_dim, space.n_states)
+    actions = _read_array(reader, space.state_kind, space.action_dim, space.n_actions)
+    rewards = _read_array(reader, "vector", 1).reshape(-1)
     terminal = bool(reader.take_int(2))
     reader.done()
-    floats = rewards.size + (states.size + actions.size if space.state_kind == "vector" else 0)
-    if not per_token and (line.count("x") != floats or "+0x" in line):
-        return _read_record(line, lineno, space, per_token=True)
     return states, actions, rewards, terminal
 
 

@@ -52,10 +52,10 @@ def _read_count(token: str, line: int | None, bound: int = 2**63) -> int:
 
 
 def _read_hex(token: str) -> float:
-    """``token`` as ``float.hex`` writes it: ``0x`` or ``-0x`` form, ``nan``, ``inf`` or ``-inf``.
-    Anything else raises ``ValueError``: ``float.fromhex`` alone would read ``-0.1`` as -0x0.1,
-    that is -0.0625, and ``+0x1p+0`` as 1.0.  A value beyond the float range raises
-    ``OverflowError``."""
+    """``token`` as a float: a ``0x`` or ``-0x`` token that ``float.fromhex`` reads, or ``nan``,
+    ``inf`` or ``-inf``.  Anything else raises ``ValueError``: ``float.fromhex`` alone would read
+    ``-0.1`` as -0x0.1, that is -0.0625, and ``+0x1p+0`` as 1.0.  A value beyond the float range
+    raises ``OverflowError``."""
     if not token.startswith(("0x", "-0x")) and token not in ("nan", "inf", "-inf"):
         raise ValueError(f"not a hex float: {token!r}")
     return float.fromhex(token)

@@ -22,7 +22,7 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
-# Rows that hit the zero-vector guard in l2_normalize since the last reset.
+# Rows that hit the zero-vector guard in l2_normalize since import.
 _L2_DEGENERATE_ROWS = 0
 
 
@@ -349,8 +349,3 @@ def l2_normalize_backward(v: np.ndarray, dout: np.ndarray) -> np.ndarray:
 
 def l2_degenerate_rows() -> int:
     return _L2_DEGENERATE_ROWS
-
-
-def reset_l2_degenerate_rows():
-    global _L2_DEGENERATE_ROWS
-    _L2_DEGENERATE_ROWS = 0

@@ -4,15 +4,16 @@ import pytest
 from occq import nets
 from occq.config import TrainConfig
 from occq.critic import (
-    critic_logits,
     critic_update,
     ema_update,
     embedding_backward,
     encode_anchor,
     encode_future,
+    future_encode_rows,
     infonce_grad,
     infonce_loss,
     init_critic,
+    pair_logits,
     partition_reg,
     partition_reg_grad,
 )
@@ -30,14 +31,14 @@ def test_identical_embeddings_constant_matrix(rng):
     critic = init_critic(rng, 5, 3, (8,), 4)
     anchors = np.tile(rng.standard_normal(8), (4, 1))
     positives = np.tile(rng.standard_normal(5), (4, 1))
-    logits = critic_logits(critic, anchors, positives)
+    logits = pair_logits(critic, anchors, positives)[0]
     assert np.max(np.abs(logits - logits[0, 0])) <= 1e-12
 
 
 def test_normalized_logits_bounded(small_critic, rng):
     anchors = rng.standard_normal((6, 8))
     positives = rng.standard_normal((6, 5))
-    logits = critic_logits(small_critic, anchors, positives)
+    logits = pair_logits(small_critic, anchors, positives)[0]
     bound = 1.0 / small_critic.temperature
     assert np.all(np.abs(logits) <= bound + 1e-12)
 
@@ -46,7 +47,7 @@ def test_logits_match_double_loop(rng):
     critic = init_critic(rng, 5, 3, (8,), 4, l2_normalize_outputs=False, temperature=0.7)
     anchors = rng.standard_normal((5, 8))
     positives = rng.standard_normal((5, 5))
-    logits = critic_logits(critic, anchors, positives)
+    logits = pair_logits(critic, anchors, positives)[0]
     a_emb, _, _ = encode_anchor(critic, anchors)
     p_emb, _, _ = encode_future(critic, positives)
     for i in range(5):
@@ -55,9 +56,17 @@ def test_logits_match_double_loop(rng):
             assert abs(logits[i, j] - manual) <= 1e-12
 
 
+def _critic_adam(critic):
+    return nets.init_adam(nets.param_list(critic.sa_encoder) + nets.param_list(critic.future_encoder), 1e-2)
+
+
 def test_batch_too_small(small_critic, rng):
+    # One anchor has no in-batch negative: the step raises before it encodes anything.
+    rows = future_encode_rows()
     with pytest.raises(BatchTooSmall):
-        critic_logits(small_critic, rng.standard_normal((1, 8)), rng.standard_normal((1, 5)))
+        anchors, positives = rng.standard_normal((1, 8)), rng.standard_normal((1, 5))
+        critic_update(small_critic, anchors, positives, TrainConfig(), _critic_adam(small_critic))
+    assert future_encode_rows() == rows
 
 
 class TestInfoNCE:
@@ -153,6 +162,19 @@ class TestCriticUpdate:
                 first = metrics["critic_loss"]
         assert metrics["critic_loss"] < first
 
+    def test_non_finite_logit_faults_the_whole_step(self, rng):
+        # 1e10-scale anchors over a 1e-300 temperature overflow the logits to infinity.
+        critic = init_critic(rng, 5, 3, (8, 8), 4, l2_normalize_outputs=False, temperature=1e-300)
+        adam = _critic_adam(critic)
+        encoders = (critic.sa_encoder, critic.future_encoder, critic.future_encoder_target)
+        before = [a.copy() for net in encoders for a in nets.param_list(net)]
+        m, v = adam.m.copy(), adam.v.copy()
+        with np.errstate(over="ignore"), pytest.raises(NumericalFault, match="non-finite logits"):
+            critic_update(critic, 1e10 * rng.standard_normal((6, 8)), rng.standard_normal((6, 5)), self._config(), adam)
+        after = [a for net in encoders for a in nets.param_list(net)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v) and adam.step_count == 0
+
     def test_ema_boundaries(self, rng):
         critic = init_critic(rng, 5, 3, (8,), 4)
         anchors = rng.standard_normal((4, 8))
@@ -196,7 +218,7 @@ class TestCriticUpdate:
         )
         got, got_adam, metrics = critic_update(critic, anchors, positives, config, adam)
 
-        logits = critic_logits(critic, anchors, positives)
+        logits = pair_logits(critic, anchors, positives)[0]
         dlogits = infonce_grad(logits)
         if lambda_partition > 0:
             dlogits = dlogits + lambda_partition * partition_reg_grad(logits)
@@ -226,7 +248,7 @@ class TestCriticUpdate:
         anchors[np.arange(32), 25 + rng.integers(0, 4, 32)] = 1.0
         positives = np.zeros((32, 25))
         positives[np.arange(32), rng.integers(0, 25, 32)] = 1.0
-        logits = critic_logits(critic, anchors, positives)
+        logits = pair_logits(critic, anchors, positives)[0]
         assert abs(infonce_loss(logits) - np.log(32.0)) <= 0.1
 
 

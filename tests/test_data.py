@@ -277,9 +277,10 @@ class TestRejections:
             ("car_dataset", [_put(2, 0, "99999")], "truncated record"),
             ("car_dataset", [_put(2, 0, "99999"), _put(2, 5, "zz")], "expected hex float, got 'zz'"),
             ("grid_dataset", [_append("0")], "trailing tokens"),
+            ("car_dataset", [_put(0, 1, "-0.1"), _put(2, 1, "zz")], "expected hex float, got '-0.1'"),
         ],
         ids=["bad-hex-float", "non-integer-index", "index-out-of-range", "count-past-line-end",
-             "bad-token-before-truncation", "trailing-tokens"],
+             "bad-token-before-truncation", "trailing-tokens", "first-of-two-bad-tokens"],
     )
     def test_message_and_line(self, request, tmp_path, dataset, edits, message):
         ds = request.getfixturevalue(dataset)

@@ -1,5 +1,6 @@
 """Crash-safe writes: a save that fails part way leaves the file already
-under the final name byte for byte, and no temporary file behind."""
+under the final name byte for byte, and no temporary file behind.  Strict
+reads: datasets and metrics logs take the same float forms."""
 
 import ast
 import os
@@ -11,7 +12,11 @@ import pytest
 from occq import fileio
 from occq.checkpoint import load_checkpoint, save_checkpoint
 from occq.data import generate_dataset, load, save
-from occq.envs import behavior_policy
+from occq.envs import MountainCarEnv, behavior_policy
+from occq.errors import FormatError
+from occq.metrics import MetricsRecord, load_metrics
+
+from conftest import replace_token
 
 PREVIOUS = b"previous contents\n"
 
@@ -103,3 +108,27 @@ def test_files_go_through_fileio():
         if (path.name, scope) not in _DIRECT_FILE_ACCESS
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "form",
+    ["0x1.8000000000000p+0", "-0x1.8000000000000p+0", "0x1.8p0", "0x1.8P+0", "0X1.8p+0", "+0x1.8p+0", "-0.1", "1.5"],
+)
+def test_datasets_and_metrics_logs_read_the_same_float_forms(tmp_path, form):
+    controller = behavior_policy("scripted_mountain_car", sigma=0.3)
+    dataset = generate_dataset(MountainCarEnv(horizon=20), controller, n_episodes=1, seed=7)
+    save(dataset, tmp_path / "d.txt")
+    replace_token(tmp_path / "d.txt", 8, -2, form)  # the record's last reward
+    line = MetricsRecord(step=1, epoch=0, critic_loss=0.0, partition_reg=0.0, positive_logit_mean=0.0).to_line()
+    (tmp_path / "metrics.log").write_text(line.replace("critic_loss=0x0.0p+0", f"critic_loss={form}") + "\n")
+    readers = (
+        lambda: load(tmp_path / "d.txt").episodes[0].rewards[-1],
+        lambda: load_metrics(tmp_path / "metrics.log")[0][0].critic_loss,
+    )
+    read = []
+    for reader in readers:
+        try:
+            read.append(reader())
+        except FormatError:
+            read.append(FormatError)
+    assert read[0] == read[1]

@@ -1,4 +1,5 @@
-"""The package root re-exports nothing: every name is imported from the module that defines it."""
+"""The package root re-exports nothing: every name is imported from the module that defines it;
+and every public name in the package has a caller outside the unit tests."""
 
 import ast
 import os
@@ -30,3 +31,40 @@ def test_readme_layout_names_exactly_the_modules():
     block = readme.split("## Layout", 1)[1].split("```")[1]
     listed = re.findall(r"^  (\S+\.py)\s", block, flags=re.MULTILINE)
     assert sorted(listed) == sorted(path.name for path in src.glob("*.py"))
+
+
+# Public names that no code outside the unit tests calls, each kept for a reason.
+TEST_ONLY_NAMES = {
+    "oracle.bellman_q": "the independent Bellman check on exact_q",
+    "policy.sample_actions": "how the tests reach the tanh-Gaussian sampling law",
+}
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name, attribute, import alias part and identifier-shaped string constant in ``path``;
+    the strings count because the benchmark's tracer wraps functions by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update([*node.name.split("."), node.asname or ""])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    src = Path(occq.__file__).parent
+    root = src.parents[1]
+    callers = [*src.glob("*.py"), *root.glob("perfbench/*.py"), *root.glob("scripts/*.py"), root / "tests/test_acceptance.py"]
+    used = set().union(*map(_identifiers, callers))
+    defined = (
+        (path.stem, node.name)
+        for path in src.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    )
+    assert sorted(f"{module}.{name}" for module, name in defined if name not in used) == sorted(TEST_ONLY_NAMES)

@@ -210,11 +210,11 @@ class TestRffQ:
         rff = init_rff(rng, 64, 4, 0.1)
         feats = rff_features(rff, unit_vectors(rng, 6, 4))
         rff = update_reward_features(rff, feats, rng.standard_normal(6))
-        critic_mod.reset_future_encode_rows()
+        rows = critic_mod.future_encode_rows()
         q_value_rff(critic, rff, rng.standard_normal((10, 8)), 0.9)
         q_fn = make_rff_q_fn(critic, rff, 0.9)
         q_fn(rng.standard_normal((10, 5)), rng.standard_normal((10, 3)))
-        assert critic_mod.future_encode_rows() == 0
+        assert critic_mod.future_encode_rows() == rows
 
     def test_agrees_with_direct_estimator_in_rank(self):
         # frozen critic, frozen future set: both paths rank (s, a) alike
